@@ -27,11 +27,13 @@
 #                       decoder's peer-controlled pointer arithmetic is
 #                       exactly what ASan/UBSan should see).
 #   ci/check.sh faults  fault-injection stage: the net replica/fault
-#                       suites, the serve fault suite and the live
-#                       mutate-while-query suite under a deterministic
-#                       randomized schedule, once per seed in
-#                       DLS_FAULT_SEEDS (default "1 7 42"), then the
-#                       same schedule under the packed kernel.
+#                       suites, the serve fault suite, the live
+#                       mutate-while-query suite and the live stats-
+#                       delta schedule (every mutation's delta checked
+#                       against a fresh stats handshake) under a
+#                       deterministic randomized schedule, once per
+#                       seed in DLS_FAULT_SEEDS (default "1 7 42"),
+#                       then the same schedule under the packed kernel.
 #                       Every seed must keep every answer bit-identical
 #                       at full quality — failover and hedging are only
 #                       allowed to hide faults, never to change results,
@@ -100,17 +102,19 @@ faults() {
     --target dls_net_tests dls_serve_tests dls_ingest_tests
   local filter='ReplicaTest*:FaultScheduleTest*:ServeFaultInjectionTest*'
   local live_filter='LiveConcurrencyTest*'
+  local delta_filter='LiveClusterTest.StatsDeltas*'
   for seed in ${DLS_FAULT_SEEDS:-1 7 42}; do
     echo "== fault schedule, seed $seed =="
     DLS_FAULT_SEED="$seed" ./build/tests/dls_net_tests \
-      --gtest_filter="$filter"
+      --gtest_filter="$filter:$delta_filter"
     DLS_FAULT_SEED="$seed" ./build/tests/dls_serve_tests \
       --gtest_filter="$filter"
     DLS_FAULT_SEED="$seed" ./build/tests/dls_ingest_tests \
       --gtest_filter="$live_filter"
   done
   echo "== fault schedule under the packed kernel, seed 1 =="
-  DLS_KERNEL=packed ./build/tests/dls_net_tests --gtest_filter="$filter"
+  DLS_KERNEL=packed ./build/tests/dls_net_tests \
+    --gtest_filter="$filter:$delta_filter"
   DLS_KERNEL=packed ./build/tests/dls_serve_tests --gtest_filter="$filter"
   DLS_KERNEL=packed ./build/tests/dls_ingest_tests \
     --gtest_filter="$live_filter"

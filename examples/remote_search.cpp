@@ -427,9 +427,9 @@ int main() {
       return 1;
     }
   }
-  // The mutations staled the cached global statistics; this query
-  // re-runs the stats handshake first, so it is bit-identical to a
-  // from-scratch rebuild of the surviving documents.
+  // Every acknowledged mutation carried its exact statistics delta,
+  // which the centre has already applied, so this query is
+  // bit-identical to a from-scratch rebuild of the surviving documents.
   std::vector<ir::ClusterScoredDoc> live_before =
       live_remote.Query(query, 5, 4);
   std::printf("\nlive cluster: 120 inserted, 24 tombstoned over the wire "

@@ -1,5 +1,7 @@
 #include "ingest/live_index.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
 #include <chrono>
@@ -31,6 +33,18 @@ std::unordered_map<std::string, int32_t> TermCounts(std::string_view text,
   }
   if (length != nullptr) *length = total;
   return counts;
+}
+
+/// The StatsDelta of a document's term counts: its distinct stems in
+/// ascending order and its length.
+StatsDelta DeltaOf(const std::unordered_map<std::string, int32_t>& counts,
+                   int64_t length) {
+  StatsDelta delta;
+  delta.length = length;
+  delta.stems.reserve(counts.size());
+  for (const auto& [stem, tf] : counts) delta.stems.push_back(stem);
+  std::sort(delta.stems.begin(), delta.stems.end());
+  return delta;
 }
 
 void AddRankStats(const ir::RankStats& from, ir::RankStats* into) {
@@ -244,7 +258,16 @@ void LiveIndex::PublishLocked(std::shared_ptr<Snapshot> snap) {
 }
 
 Result<uint64_t> LiveIndex::Insert(std::string_view url,
-                                   std::string_view text) {
+                                   std::string_view text, StatsDelta* delta) {
+  // The delta depends on the body alone, so it is tokenised before the
+  // writer lock is taken.
+  StatsDelta inserted;
+  if (delta != nullptr) {
+    int64_t length = 0;
+    const std::unordered_map<std::string, int32_t> counts =
+        TermCounts(text, options_.node.stem, options_.node.stop, &length);
+    inserted = DeltaOf(counts, length);
+  }
   std::unique_lock<std::mutex> lock(mu_);
   std::string key(url);
   auto it = url_to_id_.find(key);
@@ -298,10 +321,12 @@ Result<uint64_t> LiveIndex::Insert(std::string_view url,
   }
   lock.unlock();
   if (wake) merge_cv_.notify_all();
+  if (delta != nullptr) *delta = std::move(inserted);
   return id;
 }
 
-bool LiveIndex::Delete(std::string_view url) {
+bool LiveIndex::Delete(std::string_view url, StatsDelta* delta) {
+  if (delta != nullptr) *delta = StatsDelta{};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = url_to_id_.find(std::string(url));
   if (it == url_to_id_.end()) return false;
@@ -324,6 +349,7 @@ bool LiveIndex::Delete(std::string_view url) {
   for (const auto& [stem, tf] : counts) ++(*minus)[stem];
   df_minus_ = std::move(minus);
   cl_minus_ += length;
+  if (delta != nullptr) *delta = DeltaOf(counts, length);
 
   for (size_t pi = 0; pi < parts_.size(); ++pi) {
     const std::vector<uint64_t>& ids = parts_[pi]->global_ids;
@@ -352,8 +378,21 @@ void LiveIndex::Merge() {
   uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    size_t claimed_docs = 0;
     for (const auto& p : parts_) {
-      if (!p->frozen) claimed.push_back(p);
+      if (p->frozen) continue;
+      claimed.push_back(p);
+      claimed_docs += p->global_ids.size();
+    }
+    // Fold the newest frozen runs while each holds at most twice the
+    // documents claimed so far. The first larger run stops the walk, so
+    // every kept run holds more than twice the new one and a node of N
+    // documents holds at most 1 + log2(N) runs.
+    for (auto it = parts_.rbegin(); it != parts_.rend(); ++it) {
+      if (!(*it)->frozen) continue;
+      if ((*it)->global_ids.size() > 2 * claimed_docs) break;
+      claimed.push_back(*it);
+      claimed_docs += (*it)->global_ids.size();
     }
     for (const auto& p : claimed) {
       for (uint64_t id : p->global_ids) {
@@ -377,6 +416,7 @@ void LiveIndex::Merge() {
   // rebuild ("no stop-the-world").
   std::shared_ptr<Part> run;
   {
+    std::string segment_path;
     std::vector<std::pair<std::string, std::string>> bodies;
     std::vector<uint64_t> ids;
     for (const ClaimedDoc& d : cdocs) {
@@ -396,12 +436,14 @@ void LiveIndex::Merge() {
           if (loaded.ok()) {
             index = std::shared_ptr<ir::TextIndex>(
                 std::move(loaded).value().release());
+            segment_path = path;
           }
           // A failed write/load keeps the heap-built run: the merge
           // must never lose documents over an I/O error.
         }
       }
       run = std::make_shared<Part>();
+      run->segment_path = std::move(segment_path);
       run->fragments = std::make_shared<ir::FragmentedIndex>(
           index.get(), options_.num_fragments);
       run->index = std::move(index);
@@ -460,6 +502,12 @@ void LiveIndex::Merge() {
     df_minus_ = std::move(minus);
     PublishLocked(std::make_shared<Snapshot>());
     merges_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Folded runs are out of the published parts list. Readers pinned to
+  // an older epoch keep their mapping: unlinking removes the name, not
+  // the pages.
+  for (const auto& p : claimed) {
+    if (!p->segment_path.empty()) ::unlink(p->segment_path.c_str());
   }
 }
 

@@ -28,11 +28,14 @@ namespace dls::ingest {
 /// are small heap indexes absorbing inserts; the active delta part is
 /// rebuilt per insert and sealed at `delta_seal_docs` documents, so the
 /// mutable tier stays bounded. Merge() packs every delta part's live
-/// documents into one frozen *run* — written through the versioned
-/// segment format (TextIndex::FlushToDisk) and served back off mmap
-/// when `segment_dir` is set — and re-fragments it on descending idf
-/// (FragmentedIndex). Deletes never touch postings: a global tombstone
-/// set hides the document and the statistics it contributed.
+/// documents, together with the newest frozen runs small enough to
+/// fold, into one frozen *run* — written through the versioned segment
+/// format (TextIndex::FlushToDisk) and served back off mmap when
+/// `segment_dir` is set — and re-fragments it on descending idf
+/// (FragmentedIndex). Every kept run holds more than twice the
+/// documents of the next newer one, so a node holds O(log N) runs.
+/// Deletes never touch postings: a global tombstone set hides the
+/// document and the statistics it contributed.
 ///
 /// Epoch pinning. Every mutation (Insert, Delete, a Merge swap)
 /// installs a brand-new immutable Snapshot under the next epoch;
@@ -94,6 +97,21 @@ struct LiveScoredDoc {
   double score;
 };
 
+/// The exact change one Insert or Delete made to the index's effective
+/// statistics: the effective df of each of `stems` (the document's
+/// distinct normalised stems, strictly ascending) moved by one, the
+/// effective collection length by `length` (the document's normalised
+/// token count), and the live document count by one — all up for an
+/// insert, all down for a delete. A merge changes none of them. A
+/// cluster centre applies these to its global statistics instead of
+/// re-reading every node's df table.
+struct StatsDelta {
+  int64_t length = 0;
+  std::vector<std::string> stems;
+
+  bool operator==(const StatsDelta&) const = default;
+};
+
 /// Point-in-time counters of a LiveIndex (Stats()).
 struct LiveIndexStats {
   uint64_t epoch = 0;
@@ -120,6 +138,9 @@ class LiveIndex {
     std::shared_ptr<const ir::FragmentedIndex> fragments;  // runs only
     std::vector<uint64_t> global_ids;
     bool frozen = false;  ///< merged run (vs delta part)
+    /// The run's segment file when it is served off mmap; Merge()
+    /// unlinks it once a later merge folds the run away.
+    std::string segment_path;
   };
 
   /// An immutable epoch-pinned view. Obtained from Pin(); holding the
@@ -185,21 +206,32 @@ class LiveIndex {
   /// Inserts a document and publishes the next epoch. The url must not
   /// name a live document (kAlreadyExists); re-inserting a deleted url
   /// is allowed and gets a fresh global id. Returns the global id.
-  Result<uint64_t> Insert(std::string_view url, std::string_view text);
+  /// `delta`, when given, receives the insert's StatsDelta.
+  Result<uint64_t> Insert(std::string_view url, std::string_view text,
+                          StatsDelta* delta = nullptr);
 
   /// Tombstones the live document named `url` and publishes the next
-  /// epoch. Returns false when no live document has that url.
-  bool Delete(std::string_view url);
+  /// epoch. Returns false when no live document has that url (and then
+  /// leaves `delta` empty); otherwise `delta`, when given, receives the
+  /// delete's StatsDelta.
+  bool Delete(std::string_view url, StatsDelta* delta = nullptr);
 
   /// Packs every delta part's live documents into one frozen run and
-  /// atomically swaps it in under the next epoch. Synchronous on the
+  /// atomically swaps it in under the next epoch. The newest frozen
+  /// runs fold into it too, newest first, while each holds at most
+  /// twice the documents claimed so far: every kept run then holds
+  /// more than twice the next newer one, so the run count stays
+  /// logarithmic in the document count however small the merges are.
+  /// A folded run's segment file is unlinked after the swap; readers
+  /// pinned to an older epoch keep their mapping. Synchronous on the
   /// calling thread, but queries are never blocked: the writer lock is
-  /// held only to claim the delta parts and to swap — the expensive
-  /// rebuild runs unlocked, and inserts/deletes landing meanwhile go
-  /// to fresh delta parts that simply survive the swap. Serialised
-  /// against the background merge thread. Always publishes a new
-  /// epoch, even when the delta tier is empty (the no-op merge is
-  /// still an observable epoch for the serve layer's warm path).
+  /// held only to claim the parts and to swap — the expensive rebuild
+  /// runs unlocked, and inserts/deletes landing meanwhile go to fresh
+  /// delta parts that simply survive the swap. Serialised against the
+  /// background merge thread. Always publishes a new epoch, even when
+  /// the delta tier is empty (the no-op merge is still an observable
+  /// epoch for the serve layer's warm path). Effective statistics do
+  /// not change.
   void Merge();
 
   /// Pins the current snapshot: a shared_ptr copy under the snapshot

@@ -44,6 +44,23 @@ Attempt ClassifyResponse(Result<std::vector<uint8_t>> raw) {
   return {std::move(raw), bytes};
 }
 
+/// Parses a mutation acknowledgement: the frame must be well-formed, of
+/// the `expected` type, and its body must decode.
+template <typename Response>
+Result<Response> DecodeMutationAnswer(
+    const std::vector<uint8_t>& answer, MessageType expected,
+    const char* what, Result<Response> (*decode)(const uint8_t*, size_t)) {
+  MessageType type;
+  const uint8_t* body = nullptr;
+  size_t body_len = 0;
+  DLS_RETURN_IF_ERROR(DecodeFrame(answer, &type, &body, &body_len));
+  if (type != expected) {
+    return Status::Corruption(
+        StrFormat("%s: unexpected frame type", what));
+  }
+  return decode(body, body_len);
+}
+
 }  // namespace
 
 /// Completion channel between a caller and its async attempts. Heap-
@@ -81,6 +98,7 @@ RemoteClusterIndex::RemoteClusterIndex(std::vector<ReplicaSet> shards,
     : shards_(std::move(shards)), options_(options) {
   assert(!shards_.empty());
   shard_docs_.assign(shards_.size(), 0);
+  shard_epochs_.assign(shards_.size(), 0);
   shard_state_.reserve(shards_.size());
   for (const ReplicaSet& set : shards_) {
     assert(!set.replicas.empty());
@@ -350,25 +368,6 @@ Result<std::vector<uint8_t>> RemoteClusterIndex::HedgedExchange(
 }
 
 Status RemoteClusterIndex::Connect() {
-  Status status = ConnectInternal();
-  if (status.ok()) {
-    connected_ = true;
-    stats_dirty_.store(false, std::memory_order_release);
-  }
-  return status;
-}
-
-void RemoteClusterIndex::RefreshStatsIfStale() const {
-  if (!stats_dirty_.exchange(false, std::memory_order_acq_rel)) return;
-  if (!ConnectInternal().ok()) {
-    // Handshake failed: query on the stale aggregates (the shards
-    // still answer with whatever state they have) and let the next
-    // query retry the refresh.
-    stats_dirty_.store(true, std::memory_order_release);
-  }
-}
-
-Status RemoteClusterIndex::ConnectInternal() const {
   // Phase 1, unlocked: run the handshake against every replica and
   // build the new aggregates locally — network I/O must not stall
   // concurrent queries holding shared stats locks.
@@ -376,7 +375,7 @@ Status RemoteClusterIndex::ConnectInternal() const {
   int64_t new_collection_length = 0;
   std::vector<uint64_t> new_shard_docs(shards_.size(), 0);
   uint64_t new_total_docs = 0;
-  uint64_t new_cluster_epoch = 0;
+  std::vector<uint64_t> new_shard_epochs(shards_.size(), 0);
   bool new_stem = true;
   bool new_stop = true;
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -453,7 +452,7 @@ Status RemoteClusterIndex::ConnectInternal() const {
     new_collection_length += adopted.collection_length;
     new_shard_docs[i] = adopted.document_count;
     new_total_docs += adopted.document_count;
-    new_cluster_epoch += adopted.mutation_epoch;
+    new_shard_epochs[i] = adopted.mutation_epoch;
     for (const auto& [term, df] : adopted.term_dfs) {
       new_global_df[term] += df;
     }
@@ -466,9 +465,10 @@ Status RemoteClusterIndex::ConnectInternal() const {
   collection_length_ = new_collection_length;
   shard_docs_ = std::move(new_shard_docs);
   total_docs_ = new_total_docs;
-  cluster_epoch_ = new_cluster_epoch;
+  shard_epochs_ = std::move(new_shard_epochs);
   norm_stem_ = new_stem;
   norm_stop_ = new_stop;
+  connected_ = true;
   return Status::Ok();
 }
 
@@ -496,11 +496,32 @@ Result<std::vector<uint8_t>> RemoteClusterIndex::MutateReplica(
   return response;
 }
 
+void RemoteClusterIndex::ApplyStatsDelta(size_t shard, int sign,
+                                         const ingest::StatsDelta& delta,
+                                         uint64_t epoch) {
+  std::unique_lock<std::shared_mutex> lock(stats_mu_);
+  for (const std::string& stem : delta.stems) {
+    auto it = global_df_.try_emplace(stem, 0).first;
+    it->second += sign;
+    if (it->second <= 0) global_df_.erase(it);
+  }
+  collection_length_ += sign * delta.length;
+  if (sign > 0) {
+    ++shard_docs_[shard];
+    ++total_docs_;
+  } else {
+    --shard_docs_[shard];
+    --total_docs_;
+  }
+  // Never backwards: acks of concurrent mutations may arrive out of
+  // order.
+  shard_epochs_[shard] = std::max(shard_epochs_[shard], epoch);
+}
+
 Result<uint64_t> RemoteClusterIndex::Insert(std::string_view url,
                                             std::string_view text) {
   const size_t shard = ShardForUrl(url);
-  uint64_t doc_id = 0;
-  uint64_t epoch = 0;
+  InsertResponse first;
   const std::vector<Shard>& replicas = shards_[shard].replicas;
   for (size_t r = 0; r < replicas.size(); ++r) {
     InsertRequest request;
@@ -511,36 +532,36 @@ Result<uint64_t> RemoteClusterIndex::Insert(std::string_view url,
                          EncodeInsertRequest(request));
     DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> answer,
                          MutateReplica(replicas[r], frame));
-    MessageType type;
-    const uint8_t* body = nullptr;
-    size_t body_len = 0;
-    DLS_RETURN_IF_ERROR(DecodeFrame(answer, &type, &body, &body_len));
-    if (type != MessageType::kInsertResponse) {
-      return Status::Corruption("insert: unexpected frame type");
-    }
-    DLS_ASSIGN_OR_RETURN(const InsertResponse response,
-                         DecodeInsertResponse(body, body_len));
+    DLS_ASSIGN_OR_RETURN(
+        InsertResponse response,
+        DecodeMutationAnswer(answer, MessageType::kInsertResponse, "insert",
+                             &DecodeInsertResponse));
     if (r == 0) {
-      doc_id = response.doc_id;
-      epoch = response.epoch;
-    } else if (response.doc_id != doc_id || response.epoch != epoch) {
+      first = std::move(response);
+    } else if (response.doc_id != first.doc_id ||
+               response.epoch != first.epoch ||
+               response.delta != first.delta) {
       return Status::Internal(StrFormat(
-          "shard %zu replica %zu diverged on insert (id=%llu epoch=%llu vs "
-          "id=%llu epoch=%llu); replicas no longer serve identical content",
+          "shard %zu replica %zu diverged on insert (id=%llu epoch=%llu "
+          "length=%lld stems=%zu vs id=%llu epoch=%llu length=%lld "
+          "stems=%zu); replicas no longer serve identical content",
           shard, r, static_cast<unsigned long long>(response.doc_id),
           static_cast<unsigned long long>(response.epoch),
-          static_cast<unsigned long long>(doc_id),
-          static_cast<unsigned long long>(epoch)));
+          static_cast<long long>(response.delta.length),
+          response.delta.stems.size(),
+          static_cast<unsigned long long>(first.doc_id),
+          static_cast<unsigned long long>(first.epoch),
+          static_cast<long long>(first.delta.length),
+          first.delta.stems.size()));
     }
   }
-  stats_dirty_.store(true, std::memory_order_release);
-  return doc_id;
+  ApplyStatsDelta(shard, +1, first.delta, first.epoch);
+  return first.doc_id;
 }
 
 Result<bool> RemoteClusterIndex::Delete(std::string_view url) {
   const size_t shard = ShardForUrl(url);
-  bool found = false;
-  uint64_t epoch = 0;
+  DeleteResponse first;
   const std::vector<Shard>& replicas = shards_[shard].replicas;
   for (size_t r = 0; r < replicas.size(); ++r) {
     DeleteRequest request;
@@ -550,29 +571,30 @@ Result<bool> RemoteClusterIndex::Delete(std::string_view url) {
                          EncodeDeleteRequest(request));
     DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> answer,
                          MutateReplica(replicas[r], frame));
-    MessageType type;
-    const uint8_t* body = nullptr;
-    size_t body_len = 0;
-    DLS_RETURN_IF_ERROR(DecodeFrame(answer, &type, &body, &body_len));
-    if (type != MessageType::kDeleteResponse) {
-      return Status::Corruption("delete: unexpected frame type");
-    }
-    DLS_ASSIGN_OR_RETURN(const DeleteResponse response,
-                         DecodeDeleteResponse(body, body_len));
+    DLS_ASSIGN_OR_RETURN(
+        DeleteResponse response,
+        DecodeMutationAnswer(answer, MessageType::kDeleteResponse, "delete",
+                             &DecodeDeleteResponse));
     if (r == 0) {
-      found = response.found;
-      epoch = response.epoch;
-    } else if (response.found != found || response.epoch != epoch) {
+      first = std::move(response);
+    } else if (response.found != first.found ||
+               response.epoch != first.epoch ||
+               response.delta != first.delta) {
       return Status::Internal(StrFormat(
-          "shard %zu replica %zu diverged on delete (found=%d epoch=%llu vs "
-          "found=%d epoch=%llu); replicas no longer serve identical content",
+          "shard %zu replica %zu diverged on delete (found=%d epoch=%llu "
+          "length=%lld stems=%zu vs found=%d epoch=%llu length=%lld "
+          "stems=%zu); replicas no longer serve identical content",
           shard, r, response.found ? 1 : 0,
-          static_cast<unsigned long long>(response.epoch), found ? 1 : 0,
-          static_cast<unsigned long long>(epoch)));
+          static_cast<unsigned long long>(response.epoch),
+          static_cast<long long>(response.delta.length),
+          response.delta.stems.size(), first.found ? 1 : 0,
+          static_cast<unsigned long long>(first.epoch),
+          static_cast<long long>(first.delta.length),
+          first.delta.stems.size()));
     }
   }
-  if (found) stats_dirty_.store(true, std::memory_order_release);
-  return found;
+  if (first.found) ApplyStatsDelta(shard, -1, first.delta, first.epoch);
+  return first.found;
 }
 
 Status RemoteClusterIndex::MergeAll() {
@@ -585,15 +607,10 @@ Status RemoteClusterIndex::MergeAll() {
       const std::vector<uint8_t> frame = EncodeMergeRequest(request);
       DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> answer,
                            MutateReplica(replicas[r], frame));
-      MessageType type;
-      const uint8_t* body = nullptr;
-      size_t body_len = 0;
-      DLS_RETURN_IF_ERROR(DecodeFrame(answer, &type, &body, &body_len));
-      if (type != MessageType::kMergeResponse) {
-        return Status::Corruption("merge: unexpected frame type");
-      }
-      DLS_ASSIGN_OR_RETURN(const MergeResponse response,
-                           DecodeMergeResponse(body, body_len));
+      DLS_ASSIGN_OR_RETURN(
+          const MergeResponse response,
+          DecodeMutationAnswer(answer, MessageType::kMergeResponse, "merge",
+                               &DecodeMergeResponse));
       if (r == 0) {
         epoch = response.epoch;
       } else if (response.epoch != epoch) {
@@ -604,8 +621,9 @@ Status RemoteClusterIndex::MergeAll() {
             static_cast<unsigned long long>(epoch)));
       }
     }
+    std::unique_lock<std::shared_mutex> lock(stats_mu_);
+    shard_epochs_[i] = std::max(shard_epochs_[i], epoch);
   }
-  stats_dirty_.store(true, std::memory_order_release);
   return Status::Ok();
 }
 
@@ -794,7 +812,6 @@ std::vector<ir::ClusterScoredDoc> RemoteClusterIndex::Query(
     size_t max_fragments, ir::ClusterQueryStats* stats,
     const ir::RankOptions& options) const {
   assert(connected_ && "call Connect() before Query()");
-  RefreshStatsIfStale();
   // Shared for the whole query: resolution and stats aggregation see
   // one handshake, never a mid-refresh mix.
   std::shared_lock<std::shared_mutex> stats_lock(stats_mu_);
@@ -851,7 +868,6 @@ std::vector<std::vector<ir::ClusterScoredDoc>> RemoteClusterIndex::QueryBatch(
     const ir::RankOptions& options,
     std::vector<ir::ClusterQueryStats>* per_query_stats) const {
   assert(connected_ && "call Connect() before QueryBatch()");
-  RefreshStatsIfStale();
   std::shared_lock<std::shared_mutex> stats_lock(stats_mu_);
   std::vector<ir::ShardQuery> requests;
   std::vector<double> idf_mass_totals;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "ingest/live_index.h"
 #include "ir/cluster.h"
 #include "ir/index.h"
 #include "net/transport.h"
@@ -39,7 +41,11 @@ namespace dls::net {
 /// share ir::EvaluateShardQuery and ir::MergeShardResults, and the
 /// wire round-trips scores bit-exactly, so a healthy cluster returns
 /// bit-identical rankings remote and in-process
-/// (tests/net/remote_cluster_test.cc holds it to that).
+/// (tests/net/remote_cluster_test.cc holds it to that). Live mutations
+/// routed through the centre keep those global statistics exact
+/// without another handshake: each acknowledgement carries the exact
+/// statistics delta of its mutation, which the centre applies before
+/// the call returns (see "live ingestion routing" below).
 ///
 /// Replica routing: every shard call walks the shard's replicas in
 /// health order — ascending EWMA latency, penalised by EWMA error rate
@@ -64,7 +70,8 @@ namespace dls::net {
 /// proceeds over the surviving nodes and
 /// ClusterQueryStats.predicted_quality is scaled by the surviving
 /// document share — graceful degradation instead of a failed query.
-/// Shard document counts come from the Connect() handshake.
+/// Shard document counts come from the Connect() handshake and then
+/// from the mutation acknowledgements.
 ///
 /// ClusterQueryStats.messages / bytes_shipped report the *actual
 /// encoded frames*: one message and its byte size per request frame
@@ -74,8 +81,11 @@ namespace dls::net {
 /// not counted (nobody read it).
 ///
 /// Thread-safety: after Connect(), concurrent Query()/QueryBatch()
-/// calls are safe (transports serialise internally; result slots are
-/// per-shard and per-call; health state is internally locked).
+/// calls are safe, also beside Insert()/Delete()/MergeAll()
+/// (transports serialise internally; result slots are per-shard and
+/// per-call; health state is internally locked; a query resolves and
+/// aggregates under one shared lock on the global statistics, which a
+/// mutation updates under the unique lock).
 class RemoteClusterIndex {
  public:
   /// One remote replica: which transport to dial and which node id it
@@ -172,15 +182,17 @@ class RemoteClusterIndex {
     std::shared_lock<std::shared_mutex> lock(stats_mu_);
     return collection_length_;
   }
-  /// Cluster-wide mutation epoch: the sum of every shard's
-  /// mutation_epoch() at handshake time — the remote mirror of
-  /// ClusterIndex::mutation_epoch(), and the serving layer's cache
-  /// invalidation key. A reindexed or mutated shard is observed by
-  /// re-running Connect() (or automatically by the first query after
-  /// a routed mutation staled the statistics).
+  /// Cluster-wide mutation epoch: the sum of every shard's mutation
+  /// epoch — the remote mirror of ClusterIndex::mutation_epoch(), and
+  /// the serving layer's cache invalidation key. Each shard's epoch
+  /// comes from the handshake and then from every mutation routed
+  /// through this index, which advances it before returning; a shard
+  /// reindexed behind the centre's back is observed by re-running
+  /// Connect().
   uint64_t cluster_epoch() const {
     std::shared_lock<std::shared_mutex> lock(stats_mu_);
-    return cluster_epoch_;
+    return std::accumulate(shard_epochs_.begin(), shard_epochs_.end(),
+                           uint64_t{0});
   }
   /// Normalisation pipeline adopted from the handshake; the serving
   /// layer normalises cache keys through the identical pipeline.
@@ -195,6 +207,11 @@ class RemoteClusterIndex {
   /// Collection-wide df of a stem (0 when absent). Valid after
   /// Connect().
   int32_t global_df(std::string_view stem) const;
+  /// Stems in the global vocabulary (every one with df > 0).
+  size_t vocabulary_size() const {
+    std::shared_lock<std::shared_mutex> lock(stats_mu_);
+    return global_df_.size();
+  }
 
   ReplicaCounters replica_counters() const;
 
@@ -204,35 +221,38 @@ class RemoteClusterIndex {
   // FNV-1a hash of the url modulo the shard count, so a document's
   // insert and delete always land on the same node — and applies each
   // mutation on EVERY replica of that shard, holding their returned
-  // epochs (and assigned ids) to agreement: replicas stay bit-identical
-  // copies, which is what keeps failover and hedging exactness-safe.
-  // Mutations are never hedged or failed over (they are not idempotent;
-  // a replica that cannot be reached leaves the set diverged and the
-  // call reports it). Any successful mutation marks the cached global
-  // statistics stale; the next Query()/QueryBatch() re-runs the stats
-  // handshake before resolving, so a quiesced query is bit-identical to
-  // a from-scratch rebuild at the cluster's current epoch.
+  // epochs, assigned ids and statistics deltas to agreement (a mismatch
+  // is kInternal): replicas stay bit-identical copies, which is what
+  // keeps failover and hedging exactness-safe. Mutations are never
+  // hedged or failed over (they are not idempotent; a replica that
+  // cannot be reached leaves the set diverged, the call reports it and
+  // the centre's statistics stay as they were). Once every replica has
+  // acknowledged, the centre applies the mutation's exact statistics
+  // delta (ingest::StatsDelta) to the global df table, collection
+  // length, document counts and the shard's epoch — all before the call
+  // returns, so the very next Query()/QueryBatch() resolves against
+  // statistics bit-identical to a fresh Connect() handshake, and a
+  // quiesced query to a from-scratch rebuild.
 
   /// The shard owning `url` under the mutation routing hash.
   size_t ShardForUrl(std::string_view url) const;
 
-  /// Inserts (url, text) on every replica of the owning shard; returns
-  /// the assigned global document id (identical across replicas).
+  /// Inserts (url, text) on every replica of the owning shard, then
+  /// adds the document's statistics delta to the global statistics.
+  /// Returns the assigned global document id (identical across
+  /// replicas).
   Result<uint64_t> Insert(std::string_view url, std::string_view text);
 
   /// Tombstones the live document named `url` on every replica of the
-  /// owning shard. Returns whether a live document was found.
+  /// owning shard, then subtracts its statistics delta from the global
+  /// statistics. Returns whether a live document was found.
   Result<bool> Delete(std::string_view url);
 
   /// Asks every replica of every shard to pack its delta tier into a
   /// frozen run. Queries keep serving off pinned snapshots throughout.
+  /// A merge leaves effective statistics unchanged, so only the
+  /// shards' epochs advance.
   Status MergeAll();
-
-  /// True when a mutation has staled the cached global statistics and
-  /// the next query will re-run the stats handshake first.
-  bool stats_stale() const {
-    return stats_dirty_.load(std::memory_order_acquire);
-  }
 
   /// Distributed top-N with per-node fragment cut-off; mirrors
   /// ClusterIndex::Query (same arguments, same semantics, same
@@ -302,22 +322,19 @@ class RemoteClusterIndex {
   /// Completion channel between a caller and its async attempts.
   struct HedgedCall;
 
-  /// The stats handshake body; writes the (mutable) aggregate fields
-  /// under a unique stats_mu_ lock, so it is safe against concurrent
-  /// queries reading them under shared locks.
-  Status ConnectInternal() const;
-
-  /// Re-runs the handshake iff a mutation staled the aggregates. A
-  /// failed refresh re-arms the dirty flag and the query proceeds on
-  /// the stale statistics (degraded, still exact *per shard state at
-  /// resolve time* — the next query retries).
-  void RefreshStatsIfStale() const;
-
   /// One non-hedged, non-failover exchange with a specific replica
   /// (mutations must hit every replica, not any one of them); retries
   /// the same replica Options::retries times like Connect() does.
   Result<std::vector<uint8_t>> MutateReplica(
       const Shard& replica, const std::vector<uint8_t>& frame) const;
+
+  /// Applies an acknowledged insert (`sign` +1) or delete (-1) on
+  /// `shard`: each stem's global df moves by `sign` (a stem reaching 0
+  /// leaves the table, as the handshake would omit it), and so do the
+  /// collection length by the delta's length and the document counts
+  /// by one. The shard's epoch advances to `epoch`.
+  void ApplyStatsDelta(size_t shard, int sign,
+                       const ingest::StatsDelta& delta, uint64_t epoch);
 
   /// Builds the resolved base request: normalised, de-duplicated stems
   /// with global dfs. Returns the query's total idf mass through
@@ -373,24 +390,23 @@ class RemoteClusterIndex {
 
   std::vector<ReplicaSet> shards_;
   Options options_;
-  /// Guards the handshake aggregates below: queries read them under a
-  /// shared lock, the (re-)handshake rewrites them under a unique one.
-  /// Mutations themselves never take it — they only flip stats_dirty_.
+  /// Guards the global statistics below: queries read them under a
+  /// shared lock; Connect() and every acknowledged mutation rewrite
+  /// them under a unique one.
   mutable std::shared_mutex stats_mu_;
-  mutable std::unordered_map<std::string, int32_t, ir::TransparentStringHash,
-                             std::equal_to<>>
+  std::unordered_map<std::string, int32_t, ir::TransparentStringHash,
+                     std::equal_to<>>
       global_df_;
-  mutable int64_t collection_length_ = 0;
-  mutable std::vector<uint64_t> shard_docs_;
-  mutable uint64_t total_docs_ = 0;
-  mutable uint64_t cluster_epoch_ = 0;
+  int64_t collection_length_ = 0;
+  std::vector<uint64_t> shard_docs_;
+  uint64_t total_docs_ = 0;
+  /// Per-shard mutation epochs; cluster_epoch() is their sum.
+  std::vector<uint64_t> shard_epochs_;
   /// Normalisation pipeline the shards advertised in the handshake;
   /// ResolveQuery must match it or recall silently breaks.
-  mutable bool norm_stem_ = true;
-  mutable bool norm_stop_ = true;
+  bool norm_stem_ = true;
+  bool norm_stop_ = true;
   bool connected_ = false;
-  /// Set by any successful mutation; cleared by the re-handshake.
-  mutable std::atomic<bool> stats_dirty_{false};
   ThreadPool* executor_ = nullptr;
   std::unique_ptr<ThreadPool> owned_pool_;
 

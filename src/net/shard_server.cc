@@ -162,13 +162,15 @@ Result<std::vector<uint8_t>> ShardServer::HandleFrame(
             StrFormat("node %u is frozen; mutations need a live node",
                       req.node_id)));
       }
-      Result<uint64_t> id = live->Insert(req.url, req.text);
-      if (!id.ok()) return EncodeError(id.status());
       InsertResponse response;
+      Result<uint64_t> id = live->Insert(req.url, req.text, &response.delta);
+      if (!id.ok()) return EncodeError(id.status());
       response.node_id = req.node_id;
       response.doc_id = id.value();
       response.epoch = live->epoch();
-      return EncodeInsertResponse(response);
+      Result<std::vector<uint8_t>> encoded = EncodeInsertResponse(response);
+      if (!encoded.ok()) return EncodeError(encoded.status());
+      return encoded;
     }
     case MessageType::kDeleteRequest: {
       Result<DeleteRequest> request = DecodeDeleteRequest(body, body_len);
@@ -186,9 +188,11 @@ Result<std::vector<uint8_t>> ShardServer::HandleFrame(
       }
       DeleteResponse response;
       response.node_id = req.node_id;
-      response.found = live->Delete(req.url);
+      response.found = live->Delete(req.url, &response.delta);
       response.epoch = live->epoch();
-      return EncodeDeleteResponse(response);
+      Result<std::vector<uint8_t>> encoded = EncodeDeleteResponse(response);
+      if (!encoded.ok()) return EncodeError(encoded.status());
+      return encoded;
     }
     case MessageType::kMergeRequest: {
       Result<MergeRequest> request = DecodeMergeRequest(body, body_len);

@@ -160,6 +160,14 @@ void WriteShardResult(const ir::ShardResult& r, FrameWriter* w) {
   w->BitVector(r.stem_evaluated);
 }
 
+/// A mutation's statistics delta: length, then the strictly ascending
+/// distinct stems.
+void WriteStatsDelta(const ingest::StatsDelta& delta, FrameWriter* w) {
+  w->Varint64(static_cast<uint64_t>(delta.length));
+  w->Varint32(static_cast<uint32_t>(delta.stems.size()));
+  for (const std::string& stem : delta.stems) w->String(stem);
+}
+
 // ---- Decoding ------------------------------------------------------
 
 /// Bounds-checked cursor over a body span. Every accessor checks the
@@ -289,6 +297,26 @@ bool ReadShardQuery(BodyReader* r, ir::ShardQuery* q) {
     q->stem_global_df.push_back(static_cast<int32_t>(df));
   }
   return !r->failed();
+}
+
+/// Rejects what no LiveIndex can report: stems out of strictly
+/// ascending order (a duplicate included), a length beyond int64 or
+/// below the stem count (every distinct stem occurs at least once).
+bool ReadStatsDelta(BodyReader* r, ingest::StatsDelta* delta) {
+  const uint64_t length = r->Varint64();
+  const uint32_t stems = r->Count(/*min_bytes_each=*/1);
+  if (r->failed() || length > static_cast<uint64_t>(INT64_MAX) ||
+      length < stems) {
+    return false;
+  }
+  delta->length = static_cast<int64_t>(length);
+  delta->stems.reserve(stems);
+  for (uint32_t i = 0; i < stems; ++i) {
+    std::string stem = r->String();
+    if (r->failed() || (i > 0 && !(delta->stems.back() < stem))) return false;
+    delta->stems.push_back(std::move(stem));
+  }
+  return true;
 }
 
 bool ReadShardResult(BodyReader* r, ir::ShardResult* out) {
@@ -483,12 +511,14 @@ Result<std::vector<uint8_t>> EncodeInsertRequest(const InsertRequest& request) {
   return w.Finish();
 }
 
-std::vector<uint8_t> EncodeInsertResponse(const InsertResponse& response) {
+Result<std::vector<uint8_t>> EncodeInsertResponse(
+    const InsertResponse& response) {
   FrameWriter w(MessageType::kInsertResponse);
   w.Varint32(response.node_id);
   w.Varint64(response.doc_id);
   w.Varint64(response.epoch);
-  return std::move(w.Finish()).value();  // flat scalars: always fits
+  WriteStatsDelta(response.delta, &w);
+  return w.Finish();
 }
 
 Result<std::vector<uint8_t>> EncodeDeleteRequest(const DeleteRequest& request) {
@@ -498,12 +528,14 @@ Result<std::vector<uint8_t>> EncodeDeleteRequest(const DeleteRequest& request) {
   return w.Finish();
 }
 
-std::vector<uint8_t> EncodeDeleteResponse(const DeleteResponse& response) {
+Result<std::vector<uint8_t>> EncodeDeleteResponse(
+    const DeleteResponse& response) {
   FrameWriter w(MessageType::kDeleteResponse);
   w.Varint32(response.node_id);
   w.U8(response.found ? 1 : 0);
   w.Varint64(response.epoch);
-  return std::move(w.Finish()).value();  // flat scalars: always fits
+  WriteStatsDelta(response.delta, &w);
+  return w.Finish();
 }
 
 std::vector<uint8_t> EncodeMergeRequest(const MergeRequest& request) {
@@ -785,7 +817,9 @@ Result<InsertResponse> DecodeInsertResponse(const uint8_t* body, size_t len) {
   response.node_id = r.Varint32();
   response.doc_id = r.Varint64();
   response.epoch = r.Varint64();
-  if (r.failed() || r.remaining() != 0) return Truncated("InsertResponse");
+  if (!ReadStatsDelta(&r, &response.delta) || r.remaining() != 0) {
+    return Truncated("InsertResponse");
+  }
   return response;
 }
 
@@ -804,7 +838,10 @@ Result<DeleteResponse> DecodeDeleteResponse(const uint8_t* body, size_t len) {
   response.node_id = r.Varint32();
   const uint8_t found = r.U8();
   response.epoch = r.Varint64();
-  if (r.failed() || found > 1 || r.remaining() != 0) {
+  // A delete that found nothing changed no statistics.
+  if (!ReadStatsDelta(&r, &response.delta) || found > 1 ||
+      r.remaining() != 0 ||
+      (found == 0 && response.delta != ingest::StatsDelta{})) {
     return Truncated("DeleteResponse");
   }
   response.found = found != 0;

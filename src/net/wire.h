@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "ingest/live_index.h"
 #include "ir/cluster.h"
 
 namespace dls::net {
@@ -61,11 +62,18 @@ namespace dls::net {
 ///   10 InsertRequest  live ingestion (src/ingest): adds a document
 ///                     (url, text) to the LiveIndex behind a *live*
 ///                     node. Frozen nodes answer kUnsupported.
-///   11 InsertResponse the assigned global document id and the epoch
-///                     the mutation published.
+///   11 InsertResponse the assigned global document id, the epoch the
+///                     mutation published, and its statistics delta
+///                     (ingest::StatsDelta): the document length, then
+///                     a count and the document's distinct stems in
+///                     strictly ascending order, each of whose df rose
+///                     by one. The centre applies it to its global
+///                     statistics, so no stats handshake follows.
 ///   12 DeleteRequest  tombstones the live document named `url`.
-///   13 DeleteResponse whether a live document was found, and the new
-///                     epoch (unchanged when not found).
+///   13 DeleteResponse whether a live document was found, the new epoch
+///                     (unchanged when not found), and the statistics
+///                     delta in row 11's encoding, each of whose stems
+///                     lost one df (empty when not found).
 ///   14 MergeRequest   asks a live node to pack its delta tier into a
 ///                     frozen run (synchronous; queries keep serving
 ///                     off pinned snapshots throughout).
@@ -215,6 +223,7 @@ struct InsertResponse {
   uint32_t node_id = 0;
   uint64_t doc_id = 0;  ///< assigned global id (insertion order)
   uint64_t epoch = 0;   ///< the epoch this insert published
+  ingest::StatsDelta delta;  ///< df +1 per stem, length added
 };
 
 struct DeleteRequest {
@@ -226,6 +235,7 @@ struct DeleteResponse {
   uint32_t node_id = 0;
   bool found = false;  ///< a live document had the url and was hidden
   uint64_t epoch = 0;  ///< current epoch (bumped iff found)
+  ingest::StatsDelta delta;  ///< df -1 per stem, length removed
 };
 
 struct MergeRequest {
@@ -318,12 +328,15 @@ Result<std::vector<uint8_t>> EncodeSearchResponse(
 std::vector<uint8_t> EncodeServeStatsRequest(const ServeStatsRequest& request);
 std::vector<uint8_t> EncodeServeStatsResponse(
     const ServeStatsResponse& response);  ///< bounded: always fits
-/// Mutation frames: the requests carry caller-sized strings and are
-/// fallible like the query frames; the responses are flat scalars.
+/// Mutation frames: the requests carry caller-sized strings and the
+/// insert/delete responses a document's stems, so all four are
+/// fallible like the query frames; the merge frames are flat scalars.
 Result<std::vector<uint8_t>> EncodeInsertRequest(const InsertRequest& request);
-std::vector<uint8_t> EncodeInsertResponse(const InsertResponse& response);
+Result<std::vector<uint8_t>> EncodeInsertResponse(
+    const InsertResponse& response);
 Result<std::vector<uint8_t>> EncodeDeleteRequest(const DeleteRequest& request);
-std::vector<uint8_t> EncodeDeleteResponse(const DeleteResponse& response);
+Result<std::vector<uint8_t>> EncodeDeleteResponse(
+    const DeleteResponse& response);
 std::vector<uint8_t> EncodeMergeRequest(const MergeRequest& request);
 std::vector<uint8_t> EncodeMergeResponse(const MergeResponse& response);
 

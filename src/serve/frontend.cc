@@ -35,7 +35,10 @@ Frontend::Frontend(const Backend* backend, FrontendOptions options)
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   if (options_.warm_top_k > 0) {
-    warmer_ = std::thread([this] { WarmerLoop(); });
+    // The baseline epoch is read here, not on the warmer's thread: a
+    // bump landing before that thread first runs must still be warmed.
+    warmer_ = std::thread(
+        [this, epoch = backend_->Epoch()] { WarmerLoop(epoch); });
   }
 }
 
@@ -266,25 +269,18 @@ void Frontend::WorkerLoop() {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
 
-      // Coalescing window: collect compatible queued queries, waiting
-      // max_batch_wait_us after the first for stragglers. Shipping a
-      // short batch early beats holding the first request hostage.
-      const auto window_end =
-          SteadyClock::now() +
-          std::chrono::microseconds(options_.max_batch_wait_us);
-      while (batch.size() < options_.max_batch && !stopping_) {
-        for (auto it = queue_.begin();
-             it != queue_.end() && batch.size() < options_.max_batch;) {
-          if (Compatible(*batch.front(), **it)) {
-            batch.push_back(std::move(*it));
-            it = queue_.erase(it);
-          } else {
-            ++it;
-          }
+      // Work-conserving: ride along whatever compatible queries are
+      // already queued, and never wait for more — requests pile up
+      // exactly while the workers are busy, so under load batches fill
+      // by themselves, and a lone request ships at once.
+      for (auto it = queue_.begin();
+           it != queue_.end() && batch.size() < options_.max_batch;) {
+        if (Compatible(*batch.front(), **it)) {
+          batch.push_back(std::move(*it));
+          it = queue_.erase(it);
+        } else {
+          ++it;
         }
-        if (batch.size() >= options_.max_batch) break;
-        if (SteadyClock::now() >= window_end) break;
-        cv_.wait_until(lock, window_end);
       }
     }
     cv_.notify_all();  // leftovers may suit another worker
@@ -329,8 +325,7 @@ void Frontend::RecordHotKey(const std::string& key, const SearchQuery& query,
   }
 }
 
-void Frontend::WarmerLoop() {
-  uint64_t last_epoch = backend_->Epoch();
+void Frontend::WarmerLoop(uint64_t last_epoch) {
   while (true) {
     {
       std::unique_lock<std::mutex> lock(warm_mu_);

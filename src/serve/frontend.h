@@ -40,13 +40,12 @@ struct FrontendOptions {
   /// queue and drives one backend QueryBatch call at a time.
   size_t num_workers = 2;
 
-  /// Dynamic batcher policy: a worker coalesces up to `max_batch`
-  /// compatible queued queries, waiting at most `max_batch_wait_us`
-  /// after the first for stragglers. Compatible = identical
+  /// Dynamic batcher policy: a worker takes the oldest queued query
+  /// and up to `max_batch` - 1 compatible ones already queued behind
+  /// it, without waiting for more. Compatible = identical
   /// (n, effective max_fragments, RankOptions) — the batch ships under
   /// one policy.
   size_t max_batch = 8;
-  int64_t max_batch_wait_us = 200;
 
   /// Whole-request budget for queries that don't bring their own
   /// (SearchQuery::deadline_ms == 0).
@@ -237,10 +236,11 @@ class Frontend {
   void RecordHotKey(const std::string& key, const SearchQuery& query,
                     size_t effective_fragments, bool degraded);
 
-  /// The warmer thread: polls the backend epoch; on a bump, re-runs
-  /// the hottest keys through the backend and refreshes their cache
-  /// entries under the new epoch, serving stale meanwhile.
-  void WarmerLoop();
+  /// The warmer thread: polls the backend epoch; on a bump past
+  /// `last_epoch`, re-runs the hottest keys through the backend and
+  /// refreshes their cache entries under the new epoch, serving stale
+  /// meanwhile.
+  void WarmerLoop(uint64_t last_epoch);
 
   const Backend* backend_;
   const FrontendOptions options_;

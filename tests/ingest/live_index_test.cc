@@ -6,11 +6,14 @@
 
 #include "ingest/live_index.h"
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <thread>
@@ -165,6 +168,67 @@ TEST(LiveIndexTest, EpochIsMonotonePerMutation) {
   EXPECT_EQ(3u, live.epoch());
   live.Merge();
   EXPECT_EQ(4u, live.epoch());
+}
+
+/// Applies `delta` to an effective df table the way a cluster centre
+/// does: each stem moves by `sign`, and a stem at df 0 leaves.
+void ApplyDelta(const StatsDelta& delta, int sign,
+                std::unordered_map<std::string, int32_t>* table) {
+  for (const std::string& stem : delta.stems) {
+    if (((*table)[stem] += sign) <= 0) table->erase(stem);
+  }
+}
+
+// The delta each Insert/Delete reports is exactly the change in the
+// effective statistics a stats handshake would read: the df table,
+// the collection length and the live document count. Merges change
+// none of them.
+TEST(LiveIndexTest, InsertAndDeleteReportExactStatsDeltas) {
+  Rng rng(31);
+  ZipfSampler zipf(50, 1.1);
+  LiveIndexOptions opts;
+  opts.delta_seal_docs = 4;
+  LiveIndex live(opts);
+  std::unordered_map<std::string, int32_t> table;
+  int64_t length = 0;
+  size_t docs = 0;
+  std::vector<std::string> live_urls;
+  for (size_t step = 0; step < 200; ++step) {
+    const double roll = rng.NextDouble();
+    if (roll < 0.6 || live_urls.empty()) {
+      const std::string url = StrFormat("u%04zu", step);
+      StatsDelta delta;
+      ASSERT_TRUE(
+          live.Insert(url, MakeBody(&rng, &zipf, rng.Uniform(12)), &delta)
+              .ok());
+      EXPECT_TRUE(std::is_sorted(delta.stems.begin(), delta.stems.end()));
+      EXPECT_EQ(std::adjacent_find(delta.stems.begin(), delta.stems.end()),
+                delta.stems.end());
+      ApplyDelta(delta, +1, &table);
+      length += delta.length;
+      ++docs;
+      live_urls.push_back(url);
+    } else if (roll < 0.85) {
+      const size_t pick = rng.Uniform(live_urls.size());
+      StatsDelta delta;
+      ASSERT_TRUE(live.Delete(live_urls[pick], &delta));
+      ApplyDelta(delta, -1, &table);
+      length -= delta.length;
+      --docs;
+      live_urls[pick] = live_urls.back();
+      live_urls.pop_back();
+    } else if (roll < 0.92) {
+      StatsDelta delta{7, {"stale"}};
+      EXPECT_FALSE(live.Delete("nobody", &delta));
+      EXPECT_EQ(delta, StatsDelta{});  // nothing found, nothing moved
+    } else {
+      live.Merge();
+    }
+    std::shared_ptr<const LiveIndex::Snapshot> snap = live.Pin();
+    ASSERT_EQ(table, snap->EffectiveDfTable()) << "step " << step;
+    ASSERT_EQ(length, snap->collection_length()) << "step " << step;
+    ASSERT_EQ(docs, snap->live_docs()) << "step " << step;
+  }
 }
 
 TEST(LiveBitIdentityTest, RandomizedScheduleSequential) {
@@ -363,19 +427,138 @@ TEST(LiveMergeTest, OnDiskRunsServeOffMmap) {
     ExpectBitIdentical(*snap, *rebuild, {"term000", "term002"}, 10, options,
                        name.c_str());
   }
-  // A second wave of inserts + merge appends a second run.
+  // A second wave of 15 claims the 30-doc run too (30 <= 2 x 15): the
+  // merge folds both into one run, and the old run's file is gone.
   for (size_t i = 30; i < 45; ++i) {
     std::string url = StrFormat("doc-%04zu", i);
     std::string body = MakeBody(&rng, &zipf, 10);
     ASSERT_TRUE(live.Insert(url, body).ok());
     docs.push_back(ShadowDoc{std::move(url), std::move(body)});
   }
+  const std::string first_run = snap->parts()[0]->segment_path;
+  ASSERT_FALSE(first_run.empty());
   live.Merge();
-  snap = live.Pin();
-  ASSERT_EQ(2u, snap->parts().size());
+  std::shared_ptr<const LiveIndex::Snapshot> folded = live.Pin();
+  ASSERT_EQ(1u, folded->parts().size());
+  EXPECT_TRUE(folded->parts()[0]->index->loaded_from_segment());
+  EXPECT_NE(0, ::access(first_run.c_str(), F_OK));
   rebuild = RebuildLive(docs);
-  ExpectBitIdentical(*snap, *rebuild, {"term000", "term002"}, 10,
-                     ir::RankOptions{}, "two-runs");
+  ExpectBitIdentical(*folded, *rebuild, {"term000", "term002"}, 10,
+                     ir::RankOptions{}, "folded-run");
+  // The reader pinned before the fold still scans the unlinked run.
+  std::unique_ptr<ir::TextIndex> first_rebuild = RebuildLive(
+      std::vector<ShadowDoc>(docs.begin(), docs.begin() + 30));
+  ExpectBitIdentical(*snap, *first_rebuild, {"term000", "term002"}, 10,
+                     ir::RankOptions{}, "pinned-unlinked-run");
+}
+
+TEST(LiveMergeTest, WaveUnderHalfTheRunKeepsTwoRuns) {
+  Rng rng(13);
+  ZipfSampler zipf(60, 1.1);
+  LiveIndexOptions opts;
+  opts.delta_seal_docs = 8;
+  opts.segment_dir = TempDirPath("two_runs");
+  LiveIndex live(opts);
+  std::vector<ShadowDoc> docs;
+  for (size_t i = 0; i < 44; ++i) {
+    std::string url = StrFormat("doc-%04zu", i);
+    std::string body = MakeBody(&rng, &zipf, 10);
+    ASSERT_TRUE(live.Insert(url, body).ok());
+    docs.push_back(ShadowDoc{std::move(url), std::move(body)});
+    // 30 documents, then a wave of 14: 30 > 2 x 14 keeps both runs.
+    if (i == 29 || i == 43) live.Merge();
+  }
+  std::shared_ptr<const LiveIndex::Snapshot> snap = live.Pin();
+  ASSERT_EQ(2u, snap->parts().size());
+  EXPECT_EQ(30u, snap->parts()[0]->global_ids.size());
+  EXPECT_EQ(14u, snap->parts()[1]->global_ids.size());
+  std::unique_ptr<ir::TextIndex> rebuild = RebuildLive(docs);
+  for (const auto& [name, options] : ConfigSweep()) {
+    ExpectBitIdentical(*snap, *rebuild, {"term000", "term002"}, 10, options,
+                       name.c_str());
+  }
+}
+
+/// Number of regular entries in `dir`.
+size_t FilesIn(const std::string& dir) {
+  size_t files = 0;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return 0;
+  while (const dirent* entry = ::readdir(d)) {
+    if (entry->d_name[0] != '.') ++files;
+  }
+  ::closedir(d);
+  return files;
+}
+
+// Merging after every few inserts would append a run per merge; the
+// fold keeps the run count logarithmic, the segment directory in step
+// with the frozen runs, and every epoch bit-identical to a rebuild.
+TEST(LiveMergeTest, SmallMergesFoldIntoLogarithmicRuns) {
+  Rng rng(29);
+  ZipfSampler zipf(80, 1.1);
+  LiveIndexOptions opts;
+  opts.delta_seal_docs = 4;
+  opts.segment_dir = TempDirPath("fold");
+  LiveIndex live(opts);
+  std::vector<ShadowDoc> docs;
+  std::vector<size_t> live_ids;
+  size_t max_runs = 0;
+  const auto configs = ConfigSweep();
+  for (size_t step = 0; step < 400; ++step) {
+    const double roll = rng.NextDouble();
+    if (roll < 0.70 || live_ids.empty()) {
+      std::string url = StrFormat("doc-%04zu", docs.size());
+      std::string body = MakeBody(&rng, &zipf, 4 + rng.Uniform(10));
+      ASSERT_TRUE(live.Insert(url, body).ok());
+      live_ids.push_back(docs.size());
+      docs.push_back(ShadowDoc{std::move(url), std::move(body)});
+    } else if (roll < 0.85) {
+      const size_t pick = rng.Uniform(live_ids.size());
+      ASSERT_TRUE(live.Delete(docs[live_ids[pick]].url));
+      docs[live_ids[pick]].alive = false;
+      live_ids[pick] = live_ids.back();
+      live_ids.pop_back();
+    } else {
+      live.Merge();
+    }
+
+    std::shared_ptr<const LiveIndex::Snapshot> snap = live.Pin();
+    size_t runs = 0;
+    size_t run_docs = 0;
+    size_t newer = 0;  // documents of the next newer run
+    for (auto it = snap->parts().rbegin(); it != snap->parts().rend(); ++it) {
+      if (!(*it)->frozen) continue;
+      // Each run holds more than twice the next newer one...
+      if (runs > 0) {
+        EXPECT_GT((*it)->global_ids.size(), 2 * newer);
+      }
+      newer = (*it)->global_ids.size();
+      run_docs += newer;
+      ++runs;
+    }
+    // ...so the run count is logarithmic in the documents they hold.
+    if (runs > 0) {
+      EXPECT_LE(static_cast<double>(runs),
+                1.0 + std::log2(static_cast<double>(run_docs)))
+          << "step " << step;
+    }
+    max_runs = std::max(max_runs, runs);
+    EXPECT_EQ(runs, FilesIn(opts.segment_dir)) << "step " << step;
+
+    std::unique_ptr<ir::TextIndex> rebuild = RebuildLive(docs);
+    std::vector<std::string> query;
+    const size_t qlen = 1 + rng.Uniform(3);
+    for (size_t i = 0; i < qlen; ++i) {
+      query.push_back(StrFormat("term%03zu", zipf.Sample(&rng)));
+    }
+    const auto& [name, options] = configs[rng.Uniform(configs.size())];
+    ExpectBitIdentical(*snap, *rebuild, query, 1 + rng.Uniform(12), options,
+                       StrFormat("step %zu %s", step, name.c_str()).c_str());
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GE(live.merges(), 40u);  // many small merges ran...
+  EXPECT_GE(max_runs, 3u);        // ...and the runs did stack up
 }
 
 TEST(LiveMergeTest, BackgroundThreadMergesUnderInsertLoad) {

@@ -73,7 +73,6 @@ TEST(ServeConcurrencyTest, OverloadedFrontendStaysExactAndBalanced) {
   options.max_queue = 2;
   options.num_workers = 2;
   options.max_batch = 4;
-  options.max_batch_wait_us = 100;
   options.degrade_watermark = 1;
   options.default_deadline_ms = 10000;
   options.cache_entries = 64;

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "ingest/live_index.h"
 #include "ir/cluster.h"
 #include "net/remote_cluster.h"
 #include "net/shard_server.h"
@@ -288,7 +289,6 @@ TEST(FrontendTest, DegradesFragmentCutoffAtQueueWatermark) {
   FrontendOptions options;
   options.num_workers = 1;
   options.max_batch = 1;
-  options.max_batch_wait_us = 0;
   options.degrade_watermark = 1;
   options.default_deadline_ms = 60000;
   Frontend frontend(&gate, options);
@@ -336,7 +336,6 @@ TEST(FrontendTest, ShedsWithUnavailableWhenQueueIsFull) {
   FrontendOptions options;
   options.num_workers = 1;
   options.max_batch = 1;
-  options.max_batch_wait_us = 0;
   options.max_queue = 2;
   options.degrade_watermark = 0;
   options.default_deadline_ms = 60000;
@@ -389,7 +388,6 @@ TEST(FrontendTest, ExpiresInQueueWithoutTouchingBackend) {
   FrontendOptions options;
   options.num_workers = 1;
   options.max_batch = 1;
-  options.max_batch_wait_us = 0;
   options.default_deadline_ms = 60000;
   Frontend frontend(&gate, options);
 
@@ -434,7 +432,6 @@ TEST(FrontendTest, ShedsAtAdmissionWhenPredictedWaitExceedsDeadline) {
   FrontendOptions options;
   options.num_workers = 1;
   options.max_batch = 1;
-  options.max_batch_wait_us = 0;
   Frontend frontend(&slow, options);
 
   SearchQuery warm;
@@ -464,7 +461,6 @@ TEST(FrontendTest, CoalescesQueuedRequestsAndDeduplicatesWithinBatch) {
   FrontendOptions options;
   options.num_workers = 1;
   options.max_batch = 8;
-  options.max_batch_wait_us = 200;
   options.degrade_watermark = 0;
   options.default_deadline_ms = 60000;
   Frontend frontend(&gate, options);
@@ -544,6 +540,65 @@ TEST(FrontendTest, RemoteBackendStaysBitIdenticalAndCaches) {
       ExpectIdentical(again.results, expected, q);
     }
   }
+}
+
+// Read-your-writes on the remote live path: the centre applies an
+// insert's statistics delta and the shard's new epoch before Insert()
+// returns, so the backend epoch has already moved and the next search
+// of a cached query misses the cache and ranks the new document —
+// instead of serving the pre-insert ranking as an unflagged hit.
+TEST(FrontendTest, RemoteLiveInsertIsVisibleToTheNextSearch) {
+  net::ShardServer server;
+  std::vector<std::unique_ptr<ingest::LiveIndex>> lives;
+  std::vector<std::unique_ptr<net::LoopbackTransport>> transports;
+  std::vector<net::RemoteClusterIndex::Shard> shards;
+  for (uint32_t i = 0; i < 3; ++i) {
+    lives.push_back(std::make_unique<ingest::LiveIndex>());
+    server.AddLiveNode(lives.back().get());
+    transports.push_back(
+        std::make_unique<net::LoopbackTransport>(server.Handler()));
+    shards.push_back({transports.back().get(), i});
+  }
+  net::RemoteClusterIndex remote(std::move(shards));
+  // Preload each shard directly, under the centre's routing, then
+  // connect: the handshake sees every preloaded document.
+  Rng rng(151);
+  ZipfSampler zipf(300, 1.1);
+  for (int d = 0; d < 90; ++d) {
+    std::string body;
+    for (int w = 0; w < 30; ++w) {
+      body += StrFormat("term%03zu ", zipf.Sample(&rng));
+    }
+    const std::string url = StrFormat("doc%03d", d);
+    ASSERT_TRUE(lives[remote.ShardForUrl(url)]->Insert(url, body).ok());
+  }
+  ASSERT_TRUE(remote.Connect().ok());
+
+  RemoteBackend backend(&remote);
+  FrontendOptions options;
+  options.warm_top_k = 0;  // strict: a cached entry never outlives its epoch
+  Frontend frontend(&backend, options);
+
+  SearchQuery query;
+  query.words = {"term004", "term009"};
+  query.max_fragments = 4;
+  SearchResult before = frontend.Search(query);
+  ASSERT_TRUE(before.status.ok());
+  EXPECT_FALSE(before.cache_hit);
+  ASSERT_TRUE(frontend.Search(query).cache_hit);
+
+  const uint64_t epoch = backend.Epoch();
+  ASSERT_TRUE(remote.Insert("doc-new", "term004 term009 term004 term009").ok());
+  EXPECT_NE(backend.Epoch(), epoch);
+
+  SearchResult after = frontend.Search(query);
+  ASSERT_TRUE(after.status.ok());
+  EXPECT_FALSE(after.cache_hit);
+  EXPECT_FALSE(after.stale);
+  ASSERT_FALSE(after.results.empty());
+  EXPECT_EQ(after.results[0].url, "doc-new");
+  ExpectIdentical(after.results,
+                  remote.Query(query.words, 10, 4, nullptr, {}), 0);
 }
 
 // An operator watching ServeStats must be able to tell heap from
