@@ -10,7 +10,11 @@
 #                       and serve suites re-prove remote/in-process and
 #                       cached/uncached bit-identity under it; the
 #                       ingest suite re-proves delta-vs-rebuild
-#                       bit-identity under it).
+#                       bit-identity under it). Last, it builds (does
+#                       not run) the benchmark runner: perfbench/ is
+#                       its own CMake project over src/, so a library
+#                       change that breaks it fails here, not first in
+#                       the benchmark pipeline.
 #   ci/check.sh tsan    DLS_SANITIZE=thread build; the FULL IR, net,
 #                       serve, ingest and federate suites (not a hand-picked
 #                       filter — new suites must not silently skip
@@ -22,10 +26,11 @@
 #                       mediator's parallel OR fan-out and packed-
 #                       payload candidate filters).
 #   ci/check.sh asan    DLS_SANITIZE=address+undefined build; full
-#                       common + IR + net + serve + ingest suites, then
-#                       each again under the packed kernel (the wire
-#                       decoder's peer-controlled pointer arithmetic is
-#                       exactly what ASan/UBSan should see).
+#                       common + IR + net + serve + ingest + federate
+#                       suites, then all but common again under the
+#                       packed kernel (the wire decoder's peer-
+#                       controlled pointer arithmetic is exactly what
+#                       ASan/UBSan should see).
 #   ci/check.sh faults  fault-injection stage: the net replica/fault
 #                       suites, the serve fault suite, the live
 #                       mutate-while-query suite and the live stats-
@@ -62,6 +67,9 @@ tier1() {
   DLS_KERNEL=packed ./build/tests/dls_serve_tests
   DLS_KERNEL=packed ./build/tests/dls_ingest_tests
   DLS_KERNEL=packed ./build/tests/dls_federate_tests
+  echo "== tier-1: build the benchmark runner (perfbench/, build only) =="
+  cmake -S perfbench -B build-perfbench
+  cmake --build build-perfbench -j "$(nproc)" --target perfbench_runner
 }
 
 tsan() {
@@ -121,7 +129,7 @@ faults() {
 }
 
 asan() {
-  echo "== ASan+UBSan: full common + IR + net + serve + ingest suites =="
+  echo "== ASan+UBSan: full common + IR + net + serve + ingest + federate suites =="
   cmake -B build-asan -S . -DDLS_SANITIZE=address+undefined
   cmake --build build-asan -j "$(nproc)" \
     --target dls_common_tests dls_ir_tests dls_net_tests dls_serve_tests \

@@ -114,14 +114,8 @@ std::vector<LiveScoredDoc> LiveIndex::Snapshot::Query(
   // Normalise and de-duplicate on first occurrence — the same query
   // resolution TextIndex::ResolveQuery applies, so the canonical term
   // order below matches a rebuild's.
-  std::vector<std::string> stems;
-  for (const std::string& word : words) {
-    std::optional<std::string> norm = ir::NormalizeWordAs(word, stem_, stop_);
-    if (!norm) continue;
-    if (std::find(stems.begin(), stems.end(), *norm) == stems.end()) {
-      stems.push_back(std::move(*norm));
-    }
-  }
+  const std::vector<std::string> stems =
+      ir::NormalizeQuery(words, stem_, stop_);
   if (stems.empty()) return {};
 
   // Resolve per part and compute effective df. Stems whose live df is
@@ -643,11 +637,6 @@ ir::ShardResult EvaluateLiveShardQuery(const LiveIndex::Snapshot& snapshot,
   }
   result.elapsed_us = timer.ElapsedSeconds() * 1e6;
   return result;
-}
-
-ir::ShardResult EvaluateLiveShardQuery(const LiveIndex& live,
-                                       const ir::ShardQuery& query) {
-  return EvaluateLiveShardQuery(*live.Pin(), query);
 }
 
 }  // namespace dls::ingest

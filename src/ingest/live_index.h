@@ -325,10 +325,6 @@ class LiveIndex {
 ir::ShardResult EvaluateLiveShardQuery(const LiveIndex::Snapshot& snapshot,
                                        const ir::ShardQuery& query);
 
-/// Convenience: pins `live` and evaluates.
-ir::ShardResult EvaluateLiveShardQuery(const LiveIndex& live,
-                                       const ir::ShardQuery& query);
-
 }  // namespace dls::ingest
 
 #endif  // DLS_INGEST_LIVE_INDEX_H_

@@ -70,8 +70,10 @@ void ClusterIndex::Finalize() {
   // df table iteration state is deterministic.
   global_.df.clear();
   global_.collection_length = 0;
+  global_.node_docs.clear();
   for (Node& node : nodes_) {
     global_.collection_length += node.index->collection_length();
+    global_.node_docs.push_back(node.index->document_count());
     for (TermId t = 0; t < node.index->vocabulary_size(); ++t) {
       global_.df[node.index->term(t)] += node.index->df(t);
     }
@@ -124,12 +126,6 @@ size_t ClusterIndex::bytes_mapped() const {
   size_t bytes = 0;
   for (const Node& node : nodes_) bytes += node.index->bytes_mapped();
   return bytes;
-}
-
-ShardResult EvaluateShardQuery(const TextIndex& index,
-                               const FragmentedIndex& fragments,
-                               const ShardQuery& query) {
-  return EvaluateShardQuery(index, fragments, query, nullptr);
 }
 
 ShardResult EvaluateShardQuery(const TextIndex& index,
@@ -237,144 +233,222 @@ std::vector<ClusterScoredDoc> MergeShardResults(
   return merged;
 }
 
-std::vector<ClusterScoredDoc> ClusterIndex::Query(
-    const std::vector<std::string>& query_words, size_t n,
-    size_t max_fragments, ClusterQueryStats* stats,
-    const RankOptions& options) const {
-  return Query(query_words, n, max_fragments, stats, options,
-               /*filter=*/nullptr);
+double ResolveShardQuery(
+    const std::vector<std::string>& words, bool stem, bool stop,
+    const std::function<int32_t(std::string_view)>& global_df,
+    ShardQuery* query) {
+  double idf_mass = 0;
+  for (std::string& norm : NormalizeQuery(words, stem, stop)) {
+    const int32_t df = global_df(norm);
+    if (df <= 0) continue;  // not in the global vocabulary
+    query->stems.push_back(std::move(norm));
+    query->stem_global_df.push_back(df);
+    idf_mass += 1.0 / static_cast<double>(df);
+  }
+  return idf_mass;
+}
+
+std::vector<std::vector<ClusterScoredDoc>> CoordinateBatch(
+    std::vector<ShardQuery> batch, const std::vector<double>& idf_masses,
+    const std::vector<uint64_t>& node_docs, ThreadPool* executor,
+    const ShardCall& call, ClusterQueryStats* stats,
+    std::vector<ClusterQueryStats>* per_query) {
+  const size_t nodes = node_docs.size();
+  // One slot per node; nodes running concurrently write only their own.
+  struct NodeSlot {
+    std::vector<ShardResult> results;  // one per query
+    ClusterQueryStats exchange;
+    bool alive = false;
+  };
+  std::vector<NodeSlot> slots(nodes);
+  const auto call_node = [&](size_t i, std::atomic<double>* thetas) {
+    slots[i].alive =
+        call(i, batch, thetas, &slots[i].results, &slots[i].exchange);
+  };
+  if (executor == nullptr || nodes <= 1) {
+    // Nodes in turn with threshold feedback: per pruning query, keep
+    // the n best scores returned so far and push the running n-th best
+    // as that query's threshold at the next node. A document scoring
+    // strictly below it provably cannot enter the merged top-n.
+    std::vector<std::priority_queue<double, std::vector<double>,
+                                    std::greater<double>>>
+        best(batch.size());
+    for (size_t i = 0; i < nodes; ++i) {
+      call_node(i, nullptr);
+      if (!slots[i].alive) continue;
+      for (size_t q = 0; q < batch.size(); ++q) {
+        ShardQuery& query = batch[q];
+        if (!query.options.prune || query.n == 0) continue;
+        for (const ClusterScoredDoc& d : slots[i].results[q].top) {
+          if (best[q].size() < query.n) {
+            best[q].push(d.score);
+          } else if (d.score > best[q].top()) {
+            best[q].pop();
+            best[q].push(d.score);
+          }
+        }
+        if (best[q].size() == query.n) query.threshold = best[q].top();
+      }
+    }
+  } else {
+    // Concurrent nodes; under shared_threshold each query's nodes prune
+    // against one atomic θ that each publishes its running n-th best
+    // into (monotone max inside WandTopN).
+    const bool share =
+        std::any_of(batch.begin(), batch.end(), [](const ShardQuery& q) {
+          return q.options.prune && q.options.shared_threshold && q.n > 0;
+        });
+    std::unique_ptr<std::atomic<double>[]> thetas;
+    if (share) thetas.reset(new std::atomic<double>[batch.size()]());
+    executor->ParallelFor(0, nodes,
+                          [&](size_t i) { call_node(i, thetas.get()); });
+  }
+
+  // Work counters fold the same way into the batch and into a rider.
+  // Critical paths differ: a rider's is its slowest node, the batch's
+  // is the node that spent longest on the whole batch.
+  const auto add_work = [](const ShardResult& r, ClusterQueryStats* s) {
+    s->postings_touched_total += r.postings_touched;
+    s->postings_touched_max_node = std::max(
+        s->postings_touched_max_node, static_cast<size_t>(r.postings_touched));
+    s->blocks_skipped += r.blocks_skipped;
+    s->blocks_decoded += r.blocks_decoded;
+    s->pivot_iterations += r.pivot_iterations;
+    s->cursor_advances += r.cursor_advances;
+  };
+  ClusterQueryStats total;
+  if (per_query != nullptr) {
+    per_query->assign(batch.size(), ClusterQueryStats());
+  }
+  uint64_t all_docs = 0, alive_docs = 0;
+  const std::vector<ShardResult>* first_alive = nullptr;
+  for (size_t i = 0; i < nodes; ++i) {
+    const ClusterQueryStats& e = slots[i].exchange;
+    total.messages += e.messages;
+    total.bytes_shipped += e.bytes_shipped;
+    total.hedges_fired += e.hedges_fired;
+    total.hedge_wins += e.hedge_wins;
+    total.failovers += e.failovers;
+    all_docs += node_docs[i];
+    if (!slots[i].alive) continue;
+    if (first_alive == nullptr) first_alive = &slots[i].results;
+    alive_docs += node_docs[i];
+    double node_elapsed = 0;
+    for (size_t q = 0; q < batch.size(); ++q) {
+      const ShardResult& r = slots[i].results[q];
+      add_work(r, &total);
+      node_elapsed += r.elapsed_us;
+      if (per_query == nullptr) continue;
+      ClusterQueryStats& rider = (*per_query)[q];
+      add_work(r, &rider);
+      rider.critical_path_us = std::max(rider.critical_path_us, r.elapsed_us);
+      rider.total_cpu_us += r.elapsed_us;
+    }
+    total.critical_path_us = std::max(total.critical_path_us, node_elapsed);
+    total.total_cpu_us += node_elapsed;
+  }
+
+  // A-priori quality from the first answering node's cut-off decisions
+  // (fragmentation is per node, but the idf boundaries coincide
+  // closely), scaled by the surviving document share — losing a node
+  // loses its share of the collection.
+  const double alive_share =
+      alive_docs == all_docs
+          ? 1.0
+          : static_cast<double>(alive_docs) / static_cast<double>(all_docs);
+  double idf_total = 0, idf_read = 0;
+  for (size_t q = 0; q < batch.size(); ++q) {
+    double idf_read_q = 0;
+    if (first_alive != nullptr) {
+      const std::vector<bool>& mask = (*first_alive)[q].stem_evaluated;
+      for (size_t s = 0; s < batch[q].stems.size(); ++s) {
+        if (s < mask.size() && mask[s]) {
+          idf_read_q += 1.0 / static_cast<double>(batch[q].stem_global_df[s]);
+        }
+      }
+    }
+    idf_total += idf_masses[q];
+    idf_read += idf_read_q;
+    if (per_query != nullptr) {
+      (*per_query)[q].predicted_quality =
+          (idf_masses[q] > 0 ? idf_read_q / idf_masses[q] : 1.0) * alive_share;
+    }
+  }
+  total.predicted_quality =
+      (idf_total > 0 ? idf_read / idf_total : 1.0) * alive_share;
+  if (stats != nullptr) *stats = total;
+
+  // Lost nodes contribute an empty ShardResult — the merge just never
+  // draws from them.
+  std::vector<std::vector<ClusterScoredDoc>> merged;
+  merged.reserve(batch.size());
+  for (size_t q = 0; q < batch.size(); ++q) {
+    std::vector<ShardResult> responses(nodes);
+    for (size_t i = 0; i < nodes; ++i) {
+      if (slots[i].alive) responses[i] = std::move(slots[i].results[q]);
+    }
+    merged.push_back(MergeShardResults(&responses, batch[q].n));
+  }
+  return merged;
 }
 
 std::vector<ClusterScoredDoc> ClusterIndex::Query(
     const std::vector<std::string>& query_words, size_t n,
     size_t max_fragments, ClusterQueryStats* stats,
     const RankOptions& options, const ClusterDocFilter* filter) const {
+  return std::move(QueryBatch({query_words}, n, max_fragments, stats, options,
+                              /*per_query_stats=*/nullptr, filter)
+                       .front());
+}
+
+std::vector<std::vector<ClusterScoredDoc>> ClusterIndex::QueryBatch(
+    const std::vector<std::vector<std::string>>& queries, size_t n,
+    size_t max_fragments, ClusterQueryStats* stats, const RankOptions& options,
+    std::vector<ClusterQueryStats>* per_query_stats,
+    const ClusterDocFilter* filter) const {
   assert(finalized_ && "call Finalize() before Query()");
   assert(options.doc_filter == nullptr &&
          "cluster queries take per-node bitmaps via ClusterDocFilter");
   assert((filter == nullptr || filter->per_node.size() == nodes_.size()) &&
          "ClusterDocFilter needs one bitmap per node");
-  ClusterQueryStats local_stats;
-  // Per-node dispatch: stamps node i's bitmap into the pushed options
-  // (doc ids are node-local) — the only difference from the unfiltered
-  // fan-out.
-  const auto eval_node = [&](size_t i, const ShardQuery& base,
-                             std::atomic<double>* theta) {
-    if (filter == nullptr) {
-      return EvaluateShardQuery(*nodes_[i].index, *nodes_[i].fragments, base,
-                                theta);
-    }
-    ShardQuery node_query = base;
-    node_query.options.doc_filter = &filter->per_node[i];
-    return EvaluateShardQuery(*nodes_[i].index, *nodes_[i].fragments,
-                              node_query, theta);
-  };
-
-  // Central server: stem/stop the query once, de-duplicate repeated
-  // stems (each unique term scores once — the TextIndex::ResolveQuery
-  // contract) and resolve against the global vocabulary (the T relation
-  // lives centrally). The resulting ShardQuery is what the remote path
-  // serialises verbatim.
-  ShardQuery request;
-  request.collection_length = global_.collection_length;
-  request.n = n;
-  request.max_fragments = max_fragments;
-  request.options = options;
-  double idf_mass_total = 0;
-  for (const std::string& word : query_words) {
-    // Any node's normaliser is configured identically; use node 0's.
-    std::optional<std::string> norm = nodes_[0].index->NormalizeWord(word);
-    if (!norm) continue;
-    if (std::find(request.stems.begin(), request.stems.end(), *norm) !=
-        request.stems.end()) {
-      continue;
-    }
-    auto it = global_.df.find(*norm);
-    if (it == global_.df.end()) continue;  // not in the vocabulary space
-    request.stems.push_back(*norm);
-    request.stem_global_df.push_back(it->second);
-    idf_mass_total += 1.0 / static_cast<double>(it->second);
+  // Any node's normaliser is configured identically; use node 0's.
+  const TextIndex::Options& norm = nodes_[0].index->options();
+  std::vector<ShardQuery> batch(queries.size());
+  std::vector<double> idf_masses(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    batch[q].collection_length = global_.collection_length;
+    batch[q].n = n;
+    batch[q].max_fragments = max_fragments;
+    batch[q].options = options;
+    idf_masses[q] = ResolveShardQuery(
+        queries[q], norm.stem, norm.stop,
+        [this](std::string_view stem) { return global_df(stem); }, &batch[q]);
   }
-
-  // Push the top-N request (resolved stems) to every node; each node
-  // computes its local top-N with global statistics and the fragment
-  // cut-off, then ships RES(doc, rank) back. With an executor attached
-  // the nodes evaluate concurrently; result slots are per-node, so the
-  // only synchronisation is the fan-out join itself.
-  std::vector<ShardResult> responses(nodes_.size());
-  if (options.prune && options.shared_threshold && n > 0) {
-    // Live threshold feedback (RankOptions::shared_threshold): all
-    // nodes — concurrent under an executor, in order without one —
-    // prune against one atomic θ that each publishes its running n-th
-    // best into (monotone max inside WandTopN). The merged ranking is
-    // identical to the sequential-feedback and exhaustive paths; the
-    // per-node work stats become schedule-dependent.
-    std::atomic<double> shared_theta{0.0};
-    ForEachNode([&](size_t i) {
-      responses[i] = eval_node(i, request, &shared_theta);
-    });
-  } else if (options.prune && n > 0 &&
-             (executor_ == nullptr || nodes_.size() <= 1)) {
-    // Threshold feedback (sequential execution only): the centre keeps
-    // the n best scores returned so far and pushes the running n-th
-    // best as the next node's starting threshold. Any document scoring
-    // strictly below it provably cannot enter the merged top-N, so
-    // later nodes prune harder. Results are identical to the parallel
-    // fan-out (both exact); only the work stats differ.
-    std::priority_queue<double, std::vector<double>, std::greater<double>>
-        best;
-    ShardQuery node_request = request;
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      responses[i] = eval_node(i, node_request, nullptr);
-      for (const ClusterScoredDoc& d : responses[i].top) {
-        if (best.size() < n) {
-          best.push(d.score);
-        } else if (d.score > best.top()) {
-          best.pop();
-          best.push(d.score);
-        }
+  // Node i evaluates in-process, with its own bitmap stamped in (doc
+  // ids are node-local). No frames are shipped, so messages and
+  // bytes_shipped stay 0.
+  const ShardCall call = [&](size_t i, const std::vector<ShardQuery>& b,
+                             std::atomic<double>* thetas,
+                             std::vector<ShardResult>* results,
+                             ClusterQueryStats*) {
+    const Node& node = nodes_[i];
+    results->resize(b.size());
+    for (size_t q = 0; q < b.size(); ++q) {
+      std::atomic<double>* theta = thetas == nullptr ? nullptr : &thetas[q];
+      if (filter == nullptr) {
+        (*results)[q] =
+            EvaluateShardQuery(*node.index, *node.fragments, b[q], theta);
+        continue;
       }
-      if (best.size() == n) node_request.threshold = best.top();
+      ShardQuery filtered = b[q];
+      filtered.options.doc_filter = &filter->per_node[i];
+      (*results)[q] =
+          EvaluateShardQuery(*node.index, *node.fragments, filtered, theta);
     }
-  } else {
-    ForEachNode([&](size_t i) { responses[i] = eval_node(i, request, nullptr); });
-  }
-
-  // A-priori quality estimate from the first node's cut-off decisions
-  // (reported back as the stem_evaluated mask): fragmentation is
-  // per-node but the idf boundaries coincide closely. The remote path
-  // computes the identical estimate from the same mask on the wire.
-  double idf_mass_read_global = 0;
-  for (size_t i = 0; i < request.stems.size(); ++i) {
-    if (responses.empty() || responses[0].stem_evaluated[i]) {
-      idf_mass_read_global +=
-          1.0 / static_cast<double>(request.stem_global_df[i]);
-    }
-  }
-
-  // The in-process fan-out ships no wire frames: messages and
-  // bytes_shipped stay 0 here. RemoteClusterIndex reports the measured
-  // encoded frame sizes on the loopback and TCP paths.
-  for (const ShardResult& response : responses) {
-    local_stats.postings_touched_total += response.postings_touched;
-    local_stats.postings_touched_max_node =
-        std::max(local_stats.postings_touched_max_node,
-                 static_cast<size_t>(response.postings_touched));
-    local_stats.blocks_skipped += response.blocks_skipped;
-    local_stats.blocks_decoded += response.blocks_decoded;
-    local_stats.pivot_iterations += response.pivot_iterations;
-    local_stats.cursor_advances += response.cursor_advances;
-    local_stats.critical_path_us =
-        std::max(local_stats.critical_path_us, response.elapsed_us);
-    local_stats.total_cpu_us += response.elapsed_us;
-  }
-
-  std::vector<ClusterScoredDoc> merged = MergeShardResults(&responses, n);
-
-  local_stats.predicted_quality =
-      idf_mass_total > 0 ? idf_mass_read_global / idf_mass_total : 1.0;
-  if (stats != nullptr) *stats = local_stats;
-  return merged;
+    return true;
+  };
+  return CoordinateBatch(std::move(batch), idf_masses, global_.node_docs,
+                         executor_, call, stats, per_query_stats);
 }
 
 }  // namespace dls::ir

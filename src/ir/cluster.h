@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -72,19 +73,15 @@ struct ShardResult {
 /// frozen state). Shared by ClusterIndex's in-process fan-out and by
 /// net/ShardServer — bit-identity of the two paths reduces to both
 /// calling this with identical inputs.
-ShardResult EvaluateShardQuery(const TextIndex& index,
-                               const FragmentedIndex& fragments,
-                               const ShardQuery& query);
-
-/// As above, but with the live threshold-feedback channel of
-/// RankOptions::shared_threshold: when `shared_theta` is non-null and
-/// the query prunes, the WAND evaluation reads the cluster-wide θ
-/// every iteration and publishes its own running n-th best into it
-/// (monotone max). Passing nullptr is the plain overload.
+///
+/// `shared_theta` is the live threshold-feedback channel of
+/// RankOptions::shared_threshold: when non-null and the query prunes,
+/// the WAND evaluation reads the cluster-wide θ every iteration and
+/// publishes its own running n-th best into it (monotone max).
 ShardResult EvaluateShardQuery(const TextIndex& index,
                                const FragmentedIndex& fragments,
                                const ShardQuery& query,
-                               std::atomic<double>* shared_theta);
+                               std::atomic<double>* shared_theta = nullptr);
 
 /// Bounded k-way merge of per-node top lists (each sorted by score
 /// desc, url asc) into the global top `n`, with the node's position in
@@ -141,6 +138,53 @@ struct ClusterQueryStats {
   double total_cpu_us = 0;
 };
 
+/// Resolves `words` against the global df relation (the T relation
+/// lives centrally): appends to query->stems / stem_global_df the
+/// NormalizeQuery stems whose `global_df` is > 0 and returns the
+/// query's idf mass Σ 1/df, the denominator of its predicted quality.
+/// The caller sets the rest of the ShardQuery.
+double ResolveShardQuery(
+    const std::vector<std::string>& words, bool stem, bool stop,
+    const std::function<int32_t(std::string_view)>& global_df,
+    ShardQuery* query);
+
+/// The coordinator's seam to node `node`: evaluates `batch` there,
+/// filling `results` with one ShardResult per query, and adds the
+/// exchange's wire and routing counters (messages, bytes_shipped,
+/// hedges_fired, hedge_wins, failovers) to `exchange`. `shared_thetas`
+/// is null, or holds one θ per query (RankOptions::shared_threshold).
+/// Returns false when the node is lost; the merge then proceeds
+/// without it.
+using ShardCall = std::function<bool(
+    size_t node, const std::vector<ShardQuery>& batch,
+    std::atomic<double>* shared_thetas, std::vector<ShardResult>* results,
+    ClusterQueryStats* exchange)>;
+
+/// The central server of every cluster flavour: pushes a resolved batch
+/// to each of the node_docs.size() nodes through `call` and merges each
+/// query's RES(url, score) tuples (MergeShardResults).
+///
+/// Without an executor, or with one node, the nodes are called in turn
+/// and every pruning query gets threshold feedback: its running n-th
+/// best score so far becomes its `threshold` at the next node, so later
+/// nodes prune harder. Otherwise the nodes run concurrently over
+/// `executor`, each query with one shared θ under
+/// RankOptions::shared_threshold. Either way the rankings are exact;
+/// only the work differs.
+///
+/// `stats` (batch totals) and `per_query` (one entry per query: its own
+/// work, critical path and quality; wire and routing counters stay in
+/// the batch totals) may be null. The batch critical path is the
+/// slowest node's summed time. Predicted quality is the idf mass the
+/// first answering node read (its stem_evaluated mask) over
+/// `idf_masses`, times the share of node_docs on nodes that answered —
+/// exactly 1.0 when every node answers.
+std::vector<std::vector<ClusterScoredDoc>> CoordinateBatch(
+    std::vector<ShardQuery> batch, const std::vector<double>& idf_masses,
+    const std::vector<uint64_t>& node_docs, ThreadPool* executor,
+    const ShardCall& call, ClusterQueryStats* stats,
+    std::vector<ClusterQueryStats>* per_query);
+
 /// Shared-nothing distributed full-text index.
 ///
 /// Documents are assigned to nodes **per document** (round-robin), as
@@ -156,13 +200,14 @@ struct ClusterQueryStats {
 /// bounded k-way merge, deterministically ordered by
 /// (score desc, url asc) with node id as the final tie-break.
 ///
-/// Execution model: with an executor attached (SetExecutor /
-/// EnableParallelism) the per-node evaluations of Query() and the
-/// per-node rebuilds of Finalize() fan out over the pool; without one
-/// they run sequentially in node order. Both paths produce
-/// bit-identical rankings and stats — parallelism only changes wall
-/// clock. After Finalize() the cluster is frozen for reads: concurrent
-/// Query() calls from any number of threads are safe.
+/// Execution model: queries run through CoordinateBatch. With an
+/// executor attached (SetExecutor / EnableParallelism) the per-node
+/// evaluations and the per-node rebuilds of Finalize() fan out over the
+/// pool; without one they run sequentially in node order (with
+/// threshold feedback for pruned queries). Both paths produce
+/// bit-identical rankings; unpruned, also identical stats. After
+/// Finalize() the cluster is frozen for reads: concurrent Query() /
+/// QueryBatch() calls from any number of threads are safe.
 class ClusterIndex {
  public:
   ClusterIndex(size_t num_nodes, size_t num_fragments);
@@ -212,28 +257,38 @@ class ClusterIndex {
   }
   /// Collection-wide df of a stem (0 when absent).
   int32_t global_df(std::string_view stem) const {
-    auto it = global_.df.find(std::string(stem));
+    auto it = global_.df.find(stem);
     return it == global_.df.end() ? 0 : it->second;
   }
 
-  /// Distributed top-N with per-node fragment cut-off.
-  /// max_fragments == num_fragments gives the exact global ranking.
-  std::vector<ClusterScoredDoc> Query(
-      const std::vector<std::string>& query_words, size_t n,
-      size_t max_fragments, ClusterQueryStats* stats = nullptr,
-      const RankOptions& options = {}) const;
-
-  /// As above with candidate pushdown: node i evaluates under
+  /// Distributed top-N with per-node fragment cut-off: a one-query
+  /// QueryBatch. max_fragments == num_fragments gives the exact global
+  /// ranking.
+  ///
+  /// With `filter`, candidate pushdown: node i evaluates under
   /// filter->per_node[i] (RankOptions::doc_filter semantics). The
   /// merged ranking is bit-identical to querying without the filter
   /// and keeping only filtered documents. `filter`, when non-null,
   /// must hold exactly num_nodes() bitmaps and outlive the call;
   /// options.doc_filter must be null (the per-node bitmaps replace
-  /// it). Null `filter` is the plain overload.
+  /// it).
   std::vector<ClusterScoredDoc> Query(
       const std::vector<std::string>& query_words, size_t n,
-      size_t max_fragments, ClusterQueryStats* stats,
-      const RankOptions& options, const ClusterDocFilter* filter) const;
+      size_t max_fragments, ClusterQueryStats* stats = nullptr,
+      const RankOptions& options = {},
+      const ClusterDocFilter* filter = nullptr) const;
+
+  /// Evaluates a batch of queries under one (n, max_fragments, options)
+  /// policy through CoordinateBatch — every node gets the whole batch
+  /// per call. Results are per query, in input order, with rankings
+  /// identical to Query() on that query. `stats` and `per_query_stats`
+  /// are CoordinateBatch's batch totals and per-rider attribution.
+  std::vector<std::vector<ClusterScoredDoc>> QueryBatch(
+      const std::vector<std::vector<std::string>>& queries, size_t n,
+      size_t max_fragments, ClusterQueryStats* stats = nullptr,
+      const RankOptions& options = {},
+      std::vector<ClusterQueryStats>* per_query_stats = nullptr,
+      const ClusterDocFilter* filter = nullptr) const;
 
   /// Writes every node's index as a segment file (ir/segment.h) named
   /// SegmentPath(path_prefix, i). Requires a finalized cluster.
@@ -267,8 +322,11 @@ class ClusterIndex {
   /// these instead of their local ones.
   struct GlobalStats {
     // Aggregated per stem: collection-wide df.
-    std::unordered_map<std::string, int32_t> df;
+    std::unordered_map<std::string, int32_t, TransparentStringHash,
+                       std::equal_to<>>
+        df;
     int64_t collection_length = 0;
+    std::vector<uint64_t> node_docs;  ///< per node, for CoordinateBatch
   };
 
   /// Runs fn(i) for every node, over the executor when attached.

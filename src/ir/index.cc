@@ -207,6 +207,21 @@ std::optional<std::string> NormalizeWordAs(std::string_view word, bool stem,
   return lower;
 }
 
+std::vector<std::string> NormalizeQuery(const std::vector<std::string>& words,
+                                        bool stem, bool stop) {
+  std::vector<std::string> stems;
+  stems.reserve(words.size());
+  for (const std::string& word : words) {
+    std::optional<std::string> norm = NormalizeWordAs(word, stem, stop);
+    // Queries are a handful of words: a linear duplicate scan beats a
+    // hash set.
+    if (norm && std::find(stems.begin(), stems.end(), *norm) == stems.end()) {
+      stems.push_back(std::move(*norm));
+    }
+  }
+  return stems;
+}
+
 std::optional<std::string> NormalizeWord(std::string_view word) {
   return NormalizeWordAs(word, /*stem=*/true, /*stop=*/true);
 }

@@ -173,15 +173,18 @@ struct RankOptions {
   /// ranking (docs and scores) as the exhaustive evaluation — but
   /// work stats (postings_touched, blocks_skipped) reflect the skips.
   bool prune = false;
-  /// With prune, share one atomic threshold θ (monotone max) across the
-  /// concurrently evaluating nodes of ClusterIndex::Query: each node
-  /// publishes its running n-th best score and prunes against the
-  /// cluster-wide max. The merged ranking stays exact (every published
-  /// value is a lower bound of the final global n-th best) but the work
-  /// stats become timing-dependent — the trade the ROADMAP names. An
-  /// in-process execution policy: ignored by single-index rankings and
-  /// not part of the wire query contract (remote nodes are separate
-  /// processes; RemoteClusterIndex keeps its sequential feedback path).
+  /// With prune, when the shard coordinator (ir::CoordinateBatch) runs
+  /// a cluster's nodes concurrently through an executor, give each
+  /// query one atomic threshold θ (monotone max) shared by its nodes:
+  /// each node publishes its running n-th best score and prunes
+  /// against the cluster-wide max. The merged ranking stays exact
+  /// (every published value is a lower bound of the final global n-th
+  /// best) but the work stats become timing-dependent. Nodes called in
+  /// turn use the sequential threshold feedback instead, so the flag
+  /// only matters under an executor. An in-process execution policy:
+  /// ignored by single-index rankings and not part of the wire query
+  /// contract (a remote call ignores the θ; remote nodes are separate
+  /// processes).
   bool shared_threshold = false;
   /// Evaluation strategy (see RankStrategy). kAuto defers to the
   /// per-query cost model when `prune` is set and to the exhaustive
@@ -419,11 +422,19 @@ double TermScore(int32_t tf, int32_t df, int64_t doclen,
 /// The configurable normalisation pipeline every index path shares:
 /// lowercase, optionally drop stopwords, optionally Porter-stem.
 /// TextIndex::NormalizeWord applies it with the index's own options;
-/// the remote client (net/remote_cluster.cc) applies it with the
-/// options the shards advertise in the stats handshake, so query
-/// resolution matches indexing whatever the configuration.
+/// query resolution applies it through NormalizeQuery with the options
+/// of the index the query runs against (for a remote cluster, the ones
+/// the shards advertise in the stats handshake), so resolution matches
+/// indexing whatever the configuration.
 std::optional<std::string> NormalizeWordAs(std::string_view word, bool stem,
                                            bool stop);
+
+/// A query's stems: each word through NormalizeWordAs, repeats dropped
+/// keeping the first occurrence (each unique term scores once). Every
+/// cluster centre resolves through it, and so do the serving cache
+/// keys — a key cannot drift from the resolution it stands for.
+std::vector<std::string> NormalizeQuery(const std::vector<std::string>& words,
+                                        bool stem, bool stop);
 
 /// Standalone stem+stop normalisation with the default pipeline
 /// (lowercase, stopword filter, Porter stem). nullopt for stopwords.

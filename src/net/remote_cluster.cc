@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <numeric>
-#include <queue>
 #include <thread>
 #include <utility>
 
@@ -123,15 +122,6 @@ void RemoteClusterIndex::SetExecutor(ThreadPool* pool) {
 void RemoteClusterIndex::EnableParallelism(size_t num_threads) {
   owned_pool_ = std::make_unique<ThreadPool>(num_threads);
   executor_ = owned_pool_.get();
-}
-
-void RemoteClusterIndex::ForEachShard(
-    const std::function<void(size_t)>& fn) const {
-  if (executor_ != nullptr && shards_.size() > 1) {
-    executor_->ParallelFor(0, shards_.size(), fn);
-  } else {
-    for (size_t i = 0; i < shards_.size(); ++i) fn(i);
-  }
 }
 
 int32_t RemoteClusterIndex::global_df(std::string_view stem) const {
@@ -254,7 +244,7 @@ void RemoteClusterIndex::StartAsyncAttempt(
 Result<std::vector<uint8_t>> RemoteClusterIndex::HedgedExchange(
     size_t shard,
     const std::vector<std::shared_ptr<const std::vector<uint8_t>>>& frames,
-    ExchangeTelemetry* t) const {
+    ir::ClusterQueryStats* t) const {
   // The attempt walk: replicas healthiest-first, the whole order
   // repeated for each retry pass. A single-replica shard degenerates
   // to the old retry loop exactly.
@@ -276,14 +266,14 @@ Result<std::vector<uint8_t>> RemoteClusterIndex::HedgedExchange(
     while (next < seq.size()) {
       const size_t replica = seq[next++];
       t->messages += 1;
-      t->bytes += frames[replica]->size();
+      t->bytes_shipped += frames[replica]->size();
       Timer call_timer;
       Attempt attempt = ClassifyResponse(
           shards_[shard].replicas[replica].transport->Call(
               *frames[replica], Deadline::After(options_.timeout_ms)));
       if (attempt.bytes > 0) {
         t->messages += 1;
-        t->bytes += attempt.bytes;
+        t->bytes_shipped += attempt.bytes;
       }
       RecordCallOutcome(shard, replica, attempt.frame.ok(),
                         call_timer.ElapsedMillis() * 1e3);
@@ -309,7 +299,7 @@ Result<std::vector<uint8_t>> RemoteClusterIndex::HedgedExchange(
   auto launch = [&](bool is_hedge) {
     const size_t replica = seq[next++];
     t->messages += 1;
-    t->bytes += frames[replica]->size();
+    t->bytes_shipped += frames[replica]->size();
     ++outstanding;
     StartAsyncAttempt(shard, replica, frames[replica], is_hedge, state);
   };
@@ -342,7 +332,7 @@ Result<std::vector<uint8_t>> RemoteClusterIndex::HedgedExchange(
     --outstanding;
     if (done.bytes > 0) {
       t->messages += 1;
-      t->bytes += done.bytes;
+      t->bytes_shipped += done.bytes;
     }
     if (done.frame.ok()) {
       if (done.is_hedge) {
@@ -627,41 +617,10 @@ Status RemoteClusterIndex::MergeAll() {
   return Status::Ok();
 }
 
-ir::ShardQuery RemoteClusterIndex::ResolveQuery(
-    const std::vector<std::string>& query_words, size_t n,
-    size_t max_fragments, const ir::RankOptions& options,
-    double* idf_mass_total) const {
-  // Identical resolution to ClusterIndex::Query: normalise, drop
-  // duplicates, keep only stems of the global vocabulary. The
-  // stem/stop flags come from the Connect() handshake, so this is the
-  // same pipeline node 0's index->NormalizeWord applies in-process —
-  // whatever configuration the shards were built with.
-  ir::ShardQuery request;
-  request.collection_length = collection_length_;
-  request.n = n;
-  request.max_fragments = max_fragments;
-  request.options = options;
-  *idf_mass_total = 0;
-  for (const std::string& word : query_words) {
-    std::optional<std::string> norm =
-        ir::NormalizeWordAs(word, norm_stem_, norm_stop_);
-    if (!norm) continue;
-    if (std::find(request.stems.begin(), request.stems.end(), *norm) !=
-        request.stems.end()) {
-      continue;
-    }
-    auto it = global_df_.find(*norm);
-    if (it == global_df_.end()) continue;
-    request.stems.push_back(*norm);
-    request.stem_global_df.push_back(it->second);
-    *idf_mass_total += 1.0 / static_cast<double>(it->second);
-  }
-  return request;
-}
-
-void RemoteClusterIndex::CallShard(size_t shard,
+bool RemoteClusterIndex::CallShard(size_t shard,
                                    const std::vector<ir::ShardQuery>& queries,
-                                   ShardOutcome* outcome) const {
+                                   std::vector<ir::ShardResult>* results,
+                                   ir::ClusterQueryStats* exchange) const {
   const std::vector<Shard>& replicas = shards_[shard].replicas;
   // One encoded frame per replica — replicas may address the node
   // under different node ids on different servers, but replicas
@@ -681,7 +640,7 @@ void RemoteClusterIndex::CallShard(size_t shard,
       // shard counts as lost (every shard fails identically, so the
       // query comes back empty with predicted_quality 0 rather than
       // half-shipped).
-      if (!encoded.ok()) return;
+      if (!encoded.ok()) return false;
       it = by_node
                .emplace(replicas[r].node_id,
                         std::make_shared<const std::vector<uint8_t>>(
@@ -690,176 +649,28 @@ void RemoteClusterIndex::CallShard(size_t shard,
     }
     frames[r] = it->second;
   }
-  ExchangeTelemetry telemetry;
-  Result<std::vector<uint8_t>> frame =
-      HedgedExchange(shard, frames, &telemetry);
-  outcome->messages += telemetry.messages;
-  outcome->bytes += telemetry.bytes;
-  outcome->hedges_fired += telemetry.hedges_fired;
-  outcome->hedge_wins += telemetry.hedge_wins;
-  outcome->failovers += telemetry.failovers;
-  if (!frame.ok()) return;  // shard lost: outcome stays !alive
+  Result<std::vector<uint8_t>> frame = HedgedExchange(shard, frames, exchange);
+  if (!frame.ok()) return false;  // shard lost
   MessageType type;
   const uint8_t* body = nullptr;
   size_t body_len = 0;
-  if (!DecodeFrame(frame.value(), &type, &body, &body_len).ok()) return;
-  if (type != MessageType::kQueryResponse) return;  // junk frame type
+  if (!DecodeFrame(frame.value(), &type, &body, &body_len).ok()) return false;
+  if (type != MessageType::kQueryResponse) return false;  // junk frame type
   Result<QueryResponse> response = DecodeQueryResponse(body, body_len);
-  if (!response.ok()) return;
+  if (!response.ok()) return false;
   // A response that doesn't answer the batch is as lost as no
   // response: partial merges would silently drop documents.
-  if (response.value().results.size() != queries.size()) return;
-  outcome->results = std::move(response.value().results);
-  outcome->alive = true;
-}
-
-std::vector<RemoteClusterIndex::ShardOutcome> RemoteClusterIndex::FanOut(
-    const std::vector<ir::ShardQuery>& queries) const {
-  std::vector<ShardOutcome> outcomes(shards_.size());
-  ForEachShard(
-      [&](size_t i) { CallShard(i, queries, &outcomes[i]); });
-  return outcomes;
-}
-
-/// The quality estimate multiplies the idf-mass a-priori estimate
-/// (first responding shard's cut-off mask, as in-process uses node
-/// 0's) by the surviving document share — losing a node loses its
-/// share of the collection.
-void RemoteClusterIndex::AggregateStats(
-    const std::vector<ir::ShardQuery>& queries,
-    const std::vector<double>& idf_mass_totals,
-    const std::vector<ShardOutcome>& outcomes,
-    ir::ClusterQueryStats* stats,
-    std::vector<ir::ClusterQueryStats>* per_query) const {
-  if (per_query != nullptr) {
-    per_query->assign(queries.size(), ir::ClusterQueryStats());
-  }
-  uint64_t alive_docs = 0;
-  const ShardOutcome* first_alive = nullptr;
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    const ShardOutcome& o = outcomes[i];
-    stats->messages += o.messages;
-    stats->bytes_shipped += o.bytes;
-    stats->hedges_fired += o.hedges_fired;
-    stats->hedge_wins += o.hedge_wins;
-    stats->failovers += o.failovers;
-    if (!o.alive) continue;
-    if (first_alive == nullptr) first_alive = &o;
-    alive_docs += shard_docs_[i];
-    double shard_elapsed = 0;
-    for (size_t q = 0; q < o.results.size(); ++q) {
-      const ir::ShardResult& r = o.results[q];
-      stats->postings_touched_total += r.postings_touched;
-      stats->postings_touched_max_node =
-          std::max(stats->postings_touched_max_node,
-                   static_cast<size_t>(r.postings_touched));
-      stats->blocks_skipped += r.blocks_skipped;
-      stats->blocks_decoded += r.blocks_decoded;
-      stats->pivot_iterations += r.pivot_iterations;
-      stats->cursor_advances += r.cursor_advances;
-      shard_elapsed += r.elapsed_us;
-      if (per_query != nullptr) {
-        // Per-rider attribution: each query's own work counters and
-        // its own critical path (slowest node *for this query*). Wire
-        // traffic and routing events stay exchange-level — a batch
-        // ships one frame, there is no per-rider share of it.
-        ir::ClusterQueryStats& pq = (*per_query)[q];
-        pq.postings_touched_total += r.postings_touched;
-        pq.postings_touched_max_node =
-            std::max(pq.postings_touched_max_node,
-                     static_cast<size_t>(r.postings_touched));
-        pq.blocks_skipped += r.blocks_skipped;
-        pq.blocks_decoded += r.blocks_decoded;
-        pq.pivot_iterations += r.pivot_iterations;
-        pq.cursor_advances += r.cursor_advances;
-        pq.critical_path_us = std::max(pq.critical_path_us, r.elapsed_us);
-        pq.total_cpu_us += r.elapsed_us;
-      }
-    }
-    stats->critical_path_us = std::max(stats->critical_path_us, shard_elapsed);
-    stats->total_cpu_us += shard_elapsed;
-  }
-
-  const double alive_share =
-      total_docs_ > 0
-          ? static_cast<double>(alive_docs) / static_cast<double>(total_docs_)
-          : 1.0;
-  double idf_total = 0, idf_read = 0;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    idf_total += idf_mass_totals[q];
-    double idf_read_q = 0;
-    if (first_alive != nullptr) {
-      const std::vector<bool>& mask = first_alive->results[q].stem_evaluated;
-      for (size_t s = 0; s < queries[q].stems.size(); ++s) {
-        if (s < mask.size() && mask[s]) {
-          idf_read_q += 1.0 / static_cast<double>(queries[q].stem_global_df[s]);
-        }
-      }
-    }
-    idf_read += idf_read_q;
-    if (per_query != nullptr) {
-      const double quality_q =
-          idf_mass_totals[q] > 0 ? idf_read_q / idf_mass_totals[q] : 1.0;
-      (*per_query)[q].predicted_quality = quality_q * alive_share;
-    }
-  }
-  const double idf_quality = idf_total > 0 ? idf_read / idf_total : 1.0;
-  stats->predicted_quality = idf_quality * alive_share;
+  if (response.value().results.size() != queries.size()) return false;
+  *results = std::move(response.value().results);
+  return true;
 }
 
 std::vector<ir::ClusterScoredDoc> RemoteClusterIndex::Query(
     const std::vector<std::string>& query_words, size_t n,
     size_t max_fragments, ir::ClusterQueryStats* stats,
     const ir::RankOptions& options) const {
-  assert(connected_ && "call Connect() before Query()");
-  // Shared for the whole query: resolution and stats aggregation see
-  // one handshake, never a mid-refresh mix.
-  std::shared_lock<std::shared_mutex> stats_lock(stats_mu_);
-  double idf_mass_total = 0;
-  ir::ShardQuery base =
-      ResolveQuery(query_words, n, max_fragments, options, &idf_mass_total);
-
-  std::vector<ShardOutcome> outcomes;
-  if (options.prune && n > 0 &&
-      (executor_ == nullptr || shards_.size() <= 1)) {
-    // Sequential threshold feedback, as in-process: push the running
-    // global n-th best score to later shards. Exact either way — only
-    // the work stats differ from the parallel fan-out.
-    outcomes.resize(shards_.size());
-    std::priority_queue<double, std::vector<double>, std::greater<double>>
-        best;
-    ir::ShardQuery request = base;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      CallShard(i, {request}, &outcomes[i]);
-      if (!outcomes[i].alive) continue;
-      for (const ir::ClusterScoredDoc& d : outcomes[i].results[0].top) {
-        if (best.size() < n) {
-          best.push(d.score);
-        } else if (d.score > best.top()) {
-          best.pop();
-          best.push(d.score);
-        }
-      }
-      if (best.size() == n) request.threshold = best.top();
-    }
-  } else {
-    outcomes = FanOut({base});
-  }
-
-  ir::ClusterQueryStats local_stats;
-  AggregateStats({base}, {idf_mass_total}, outcomes, &local_stats,
-                 /*per_query=*/nullptr);
-
-  // Lost shards contribute an empty ShardResult — the merge just never
-  // draws from them.
-  std::vector<ir::ShardResult> responses(shards_.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    if (outcomes[i].alive) responses[i] = std::move(outcomes[i].results[0]);
-  }
-  std::vector<ir::ClusterScoredDoc> merged =
-      ir::MergeShardResults(&responses, n);
-  if (stats != nullptr) *stats = local_stats;
-  return merged;
+  return std::move(
+      QueryBatch({query_words}, n, max_fragments, stats, options).front());
 }
 
 std::vector<std::vector<ir::ClusterScoredDoc>> RemoteClusterIndex::QueryBatch(
@@ -868,37 +679,34 @@ std::vector<std::vector<ir::ClusterScoredDoc>> RemoteClusterIndex::QueryBatch(
     const ir::RankOptions& options,
     std::vector<ir::ClusterQueryStats>* per_query_stats) const {
   assert(connected_ && "call Connect() before QueryBatch()");
+  // Shared for the whole batch: resolution and stats aggregation see
+  // one handshake, never a mid-mutation mix.
   std::shared_lock<std::shared_mutex> stats_lock(stats_mu_);
-  std::vector<ir::ShardQuery> requests;
-  std::vector<double> idf_mass_totals;
-  requests.reserve(queries.size());
-  idf_mass_totals.reserve(queries.size());
-  for (const std::vector<std::string>& words : queries) {
-    double idf_mass_total = 0;
-    requests.push_back(
-        ResolveQuery(words, n, max_fragments, options, &idf_mass_total));
-    idf_mass_totals.push_back(idf_mass_total);
+  std::vector<ir::ShardQuery> batch(queries.size());
+  std::vector<double> idf_masses(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    batch[q].collection_length = collection_length_;
+    batch[q].n = n;
+    batch[q].max_fragments = max_fragments;
+    batch[q].options = options;
+    idf_masses[q] = ir::ResolveShardQuery(
+        queries[q], norm_stem_, norm_stop_,
+        [this](std::string_view stem) {
+          auto it = global_df_.find(stem);
+          return it == global_df_.end() ? 0 : it->second;
+        },
+        &batch[q]);
   }
-
-  std::vector<ShardOutcome> outcomes = FanOut(requests);
-
-  ir::ClusterQueryStats local_stats;
-  AggregateStats(requests, idf_mass_totals, outcomes, &local_stats,
-                 per_query_stats);
-
-  std::vector<std::vector<ir::ClusterScoredDoc>> merged;
-  merged.reserve(queries.size());
-  for (size_t q = 0; q < requests.size(); ++q) {
-    std::vector<ir::ShardResult> responses(shards_.size());
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      if (outcomes[i].alive) {
-        responses[i] = std::move(outcomes[i].results[q]);
-      }
-    }
-    merged.push_back(ir::MergeShardResults(&responses, n));
-  }
-  if (stats != nullptr) *stats = local_stats;
-  return merged;
+  // Remote nodes are separate processes: the shared θ never crosses
+  // the wire.
+  return ir::CoordinateBatch(
+      std::move(batch), idf_masses, shard_docs_, executor_,
+      [this](size_t shard, const std::vector<ir::ShardQuery>& b,
+             std::atomic<double>*, std::vector<ir::ShardResult>* results,
+             ir::ClusterQueryStats* exchange) {
+        return CallShard(shard, b, results, exchange);
+      },
+      stats, per_query_stats);
 }
 
 }  // namespace dls::net

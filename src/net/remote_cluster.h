@@ -26,8 +26,10 @@ class ThreadPool;
 
 namespace dls::net {
 
-/// The central server of the distributed index, speaking the shard RPC
-/// protocol: the out-of-process mirror of ir::ClusterIndex::Query.
+/// The central server of the distributed index over the shard RPC
+/// protocol: ir::CoordinateBatch with a shard call (CallShard) that
+/// ships the batch to a replica set — the coordinator ir::ClusterIndex
+/// runs with in-process node calls.
 ///
 /// Each shard is a *replica set*: one or more (Transport, node_id)
 /// addresses serving byte-identical copies of the same node — one
@@ -36,16 +38,17 @@ namespace dls::net {
 /// stats handshake against every replica (all must be reachable and
 /// agree — a cluster that *starts* degraded or inconsistent is a
 /// deployment error) and aggregates every shard's (term, df) table
-/// into the global vocabulary, after which Query() resolves, fans out,
-/// and k-way merges exactly like the in-process path — both sides
-/// share ir::EvaluateShardQuery and ir::MergeShardResults, and the
-/// wire round-trips scores bit-exactly, so a healthy cluster returns
-/// bit-identical rankings remote and in-process
-/// (tests/net/remote_cluster_test.cc holds it to that). Live mutations
-/// routed through the centre keep those global statistics exact
-/// without another handshake: each acknowledgement carries the exact
-/// statistics delta of its mutation, which the centre applies before
-/// the call returns (see "live ingestion routing" below).
+/// into the global vocabulary, after which QueryBatch() resolves and
+/// coordinates exactly like the in-process path — both sides share
+/// ir::ResolveShardQuery, ir::CoordinateBatch and (on the node)
+/// ir::EvaluateShardQuery, and the wire round-trips scores bit-exactly,
+/// so a healthy cluster returns bit-identical rankings and work
+/// counters remote and in-process (tests/net/remote_cluster_test.cc
+/// holds it to that). Live mutations routed through the centre keep
+/// those global statistics exact without another handshake: each
+/// acknowledgement carries the exact statistics delta of its mutation,
+/// which the centre applies before the call returns (see "live
+/// ingestion routing" below).
 ///
 /// Replica routing: every shard call walks the shard's replicas in
 /// health order — ascending EWMA latency, penalised by EWMA error rate
@@ -254,23 +257,24 @@ class RemoteClusterIndex {
   /// shards' epochs advance.
   Status MergeAll();
 
-  /// Distributed top-N with per-node fragment cut-off; mirrors
-  /// ClusterIndex::Query (same arguments, same semantics, same
-  /// deterministic merge order).
+  /// Distributed top-N with per-node fragment cut-off: a one-query
+  /// QueryBatch, with ClusterIndex::Query's arguments and semantics.
   std::vector<ir::ClusterScoredDoc> Query(
       const std::vector<std::string>& query_words, size_t n,
       size_t max_fragments, ir::ClusterQueryStats* stats = nullptr,
       const ir::RankOptions& options = {}) const;
 
-  /// Batched execution: ships the whole batch in ONE request frame per
-  /// shard and gets one response frame back, amortising a round-trip
-  /// per node per query down to one per node. Results are per query,
-  /// in input order, each identical to what Query() on that query
-  /// returns; `stats`, when given, aggregates over the batch, and
-  /// `per_query_stats`, when given, is filled with one entry per query
-  /// attributing that rider's own work, latency and quality (wire
-  /// traffic and routing events are exchange-level and stay in the
-  /// aggregate).
+  /// Batched execution through ir::CoordinateBatch: ships the whole
+  /// batch in ONE request frame per shard and gets one response frame
+  /// back, amortising a round-trip per node per query down to one per
+  /// node. Without an executor the shards are called in turn and every
+  /// pruned query gets threshold feedback, exactly as when it travels
+  /// alone. Results are per query, in input order, each identical to
+  /// what Query() on that query returns; `stats`, when given,
+  /// aggregates over the batch, and `per_query_stats`, when given, is
+  /// filled with one entry per query attributing that rider's own
+  /// work, latency and quality (wire traffic and routing events are
+  /// exchange-level and stay in the aggregate).
   std::vector<std::vector<ir::ClusterScoredDoc>> QueryBatch(
       const std::vector<std::vector<std::string>>& queries, size_t n,
       size_t max_fragments, ir::ClusterQueryStats* stats = nullptr,
@@ -278,28 +282,6 @@ class RemoteClusterIndex {
       std::vector<ir::ClusterQueryStats>* per_query_stats = nullptr) const;
 
  private:
-  /// Per-shard outcome of one fan-out, with measured wire traffic and
-  /// routing events.
-  struct ShardOutcome {
-    std::vector<ir::ShardResult> results;  // one per query in the batch
-    bool alive = false;
-    size_t messages = 0;
-    size_t bytes = 0;
-    size_t hedges_fired = 0;
-    size_t hedge_wins = 0;
-    size_t failovers = 0;
-  };
-
-  /// Wire/routing accounting of one exchange (Connect and CallShard
-  /// fold it into their own books).
-  struct ExchangeTelemetry {
-    size_t messages = 0;
-    size_t bytes = 0;
-    size_t hedges_fired = 0;
-    size_t hedge_wins = 0;
-    size_t failovers = 0;
-  };
-
   /// Per-replica health, EWMA-smoothed; guarded by ShardState::mu.
   struct ReplicaHealth {
     double ewma_latency_us = 0;  ///< successful-call latency (0 = none yet)
@@ -336,14 +318,6 @@ class RemoteClusterIndex {
   void ApplyStatsDelta(size_t shard, int sign,
                        const ingest::StatsDelta& delta, uint64_t epoch);
 
-  /// Builds the resolved base request: normalised, de-duplicated stems
-  /// with global dfs. Returns the query's total idf mass through
-  /// `idf_mass_total`.
-  ir::ShardQuery ResolveQuery(const std::vector<std::string>& query_words,
-                              size_t n, size_t max_fragments,
-                              const ir::RankOptions& options,
-                              double* idf_mass_total) const;
-
   /// Replica indices of `shard`, healthiest first.
   std::vector<size_t> HealthOrder(size_t shard) const;
   /// Hedge budget in µs, or -1 when hedging is not armed for the
@@ -356,37 +330,24 @@ class RemoteClusterIndex {
   /// One shard exchange over the replica walk: failover on failed
   /// attempts, hedging past the budget. `frames` holds one request
   /// frame per replica (replicas may address different node ids).
-  /// Returns the winning well-formed non-Error frame.
+  /// Returns the winning well-formed non-Error frame, and adds the
+  /// exchange's wire and routing counters to `exchange`.
   Result<std::vector<uint8_t>> HedgedExchange(
       size_t shard,
       const std::vector<std::shared_ptr<const std::vector<uint8_t>>>& frames,
-      ExchangeTelemetry* telemetry) const;
+      ir::ClusterQueryStats* exchange) const;
 
   /// Launches one attempt on a detached (but inflight-counted) thread.
   void StartAsyncAttempt(size_t shard, size_t replica,
                          std::shared_ptr<const std::vector<uint8_t>> frame,
                          bool is_hedge, std::shared_ptr<HedgedCall> state) const;
 
-  /// One shard call over the replica walk; fills outcome->messages /
-  /// bytes with the frames actually exchanged.
-  void CallShard(size_t shard, const std::vector<ir::ShardQuery>& queries,
-                 ShardOutcome* outcome) const;
-
-  /// Runs fn(i) for every shard, over the executor when attached.
-  void ForEachShard(const std::function<void(size_t)>& fn) const;
-
-  /// Fans the (possibly batched) request out to every shard.
-  std::vector<ShardOutcome> FanOut(
-      const std::vector<ir::ShardQuery>& queries) const;
-
-  /// Folds per-shard outcomes into the E4 stats struct; shared by
-  /// Query and QueryBatch. `per_query`, when non-null, gets one entry
-  /// per query with that rider's own work/latency/quality attribution.
-  void AggregateStats(const std::vector<ir::ShardQuery>& queries,
-                      const std::vector<double>& idf_mass_totals,
-                      const std::vector<ShardOutcome>& outcomes,
-                      ir::ClusterQueryStats* stats,
-                      std::vector<ir::ClusterQueryStats>* per_query) const;
+  /// The coordinator's ir::ShardCall: one exchange of the whole batch
+  /// with `shard` over the replica walk. Counts the frames actually
+  /// exchanged into `exchange`; false when the shard is lost.
+  bool CallShard(size_t shard, const std::vector<ir::ShardQuery>& queries,
+                 std::vector<ir::ShardResult>* results,
+                 ir::ClusterQueryStats* exchange) const;
 
   std::vector<ReplicaSet> shards_;
   Options options_;
@@ -403,7 +364,7 @@ class RemoteClusterIndex {
   /// Per-shard mutation epochs; cluster_epoch() is their sum.
   std::vector<uint64_t> shard_epochs_;
   /// Normalisation pipeline the shards advertised in the handshake;
-  /// ResolveQuery must match it or recall silently breaks.
+  /// query resolution must match it or recall silently breaks.
   bool norm_stem_ = true;
   bool norm_stop_ = true;
   bool connected_ = false;

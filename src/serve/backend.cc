@@ -1,47 +1,10 @@
 #include "serve/backend.h"
 
-#include <algorithm>
-#include <optional>
+#include <memory>
 #include <string>
 #include <utility>
 
-#include "ir/index.h"
-
 namespace dls::serve {
-
-std::vector<std::vector<ir::ClusterScoredDoc>> LocalBackend::QueryBatch(
-    const std::vector<std::vector<std::string>>& queries, size_t n,
-    size_t max_fragments, ir::ClusterQueryStats* stats,
-    std::vector<ir::ClusterQueryStats>* per_query_stats,
-    const ir::RankOptions& options) const {
-  std::vector<std::vector<ir::ClusterScoredDoc>> results;
-  results.reserve(queries.size());
-  if (per_query_stats != nullptr) {
-    per_query_stats->clear();
-    per_query_stats->reserve(queries.size());
-  }
-  ir::ClusterQueryStats batch;
-  batch.predicted_quality = 1.0;
-  for (const std::vector<std::string>& words : queries) {
-    ir::ClusterQueryStats one;
-    results.push_back(cluster_->Query(words, n, max_fragments, &one, options));
-    batch.messages += one.messages;
-    batch.bytes_shipped += one.bytes_shipped;
-    batch.postings_touched_total += one.postings_touched_total;
-    batch.postings_touched_max_node = std::max(
-        batch.postings_touched_max_node, one.postings_touched_max_node);
-    batch.blocks_skipped += one.blocks_skipped;
-    batch.predicted_quality =
-        std::min(batch.predicted_quality, one.predicted_quality);
-    batch.critical_path_us += one.critical_path_us;
-    batch.total_cpu_us += one.total_cpu_us;
-    // The local path evaluates queries one by one, so per-rider
-    // attribution is just each query's own stats block.
-    if (per_query_stats != nullptr) per_query_stats->push_back(one);
-  }
-  if (stats != nullptr) *stats = batch;
-  return results;
-}
 
 std::vector<std::vector<ir::ClusterScoredDoc>> LiveBackend::QueryBatch(
     const std::vector<std::vector<std::string>>& queries, size_t n,
@@ -53,79 +16,33 @@ std::vector<std::vector<ir::ClusterScoredDoc>> LiveBackend::QueryBatch(
   // a background merge swapping parts mid-batch.
   const std::shared_ptr<const ingest::LiveIndex::Snapshot> snapshot =
       live_->Pin();
-  const bool stem = live_->options().node.stem;
-  const bool stop = live_->options().node.stop;
-
-  std::vector<std::vector<ir::ClusterScoredDoc>> results;
-  results.reserve(queries.size());
-  if (per_query_stats != nullptr) {
-    per_query_stats->clear();
-    per_query_stats->reserve(queries.size());
+  std::vector<ir::ShardQuery> batch(queries.size());
+  std::vector<double> idf_masses(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    batch[q].collection_length = snapshot->collection_length();
+    batch[q].n = n;
+    batch[q].max_fragments = max_fragments;
+    batch[q].options = options;
+    idf_masses[q] = ir::ResolveShardQuery(
+        queries[q], live_->options().node.stem, live_->options().node.stop,
+        [&snapshot](std::string_view stem) {
+          return snapshot->EffectiveDf(stem);
+        },
+        &batch[q]);
   }
-  ir::ClusterQueryStats batch;
-  batch.predicted_quality = 1.0;
-  for (const std::vector<std::string>& words : queries) {
-    // Central resolution against the snapshot's *effective* statistics
-    // — the same pipeline ClusterIndex::Query runs against its frozen
-    // global relation, so the ShardQuery is exact for this epoch.
-    ir::ShardQuery request;
-    request.collection_length = snapshot->collection_length();
-    request.n = n;
-    request.max_fragments = max_fragments;
-    request.options = options;
-    double idf_mass_total = 0;
-    for (const std::string& word : words) {
-      std::optional<std::string> norm = ir::NormalizeWordAs(word, stem, stop);
-      if (!norm) continue;
-      if (std::find(request.stems.begin(), request.stems.end(), *norm) !=
-          request.stems.end()) {
-        continue;
-      }
-      const int32_t df = snapshot->EffectiveDf(*norm);
-      if (df <= 0) continue;  // not in this epoch's live vocabulary
-      request.stems.push_back(std::move(*norm));
-      request.stem_global_df.push_back(df);
-      idf_mass_total += 1.0 / static_cast<double>(df);
-    }
-
-    std::vector<ir::ShardResult> responses(1);
-    responses[0] = ingest::EvaluateLiveShardQuery(*snapshot, request);
-
-    double idf_mass_read = 0;
-    for (size_t i = 0; i < request.stems.size(); ++i) {
-      if (responses[0].stem_evaluated[i]) {
-        idf_mass_read += 1.0 / static_cast<double>(request.stem_global_df[i]);
-      }
-    }
-    ir::ClusterQueryStats one;
-    one.postings_touched_total = responses[0].postings_touched;
-    one.postings_touched_max_node = responses[0].postings_touched;
-    one.blocks_skipped = responses[0].blocks_skipped;
-    one.blocks_decoded = responses[0].blocks_decoded;
-    one.pivot_iterations = responses[0].pivot_iterations;
-    one.cursor_advances = responses[0].cursor_advances;
-    one.critical_path_us = responses[0].elapsed_us;
-    one.total_cpu_us = responses[0].elapsed_us;
-    one.predicted_quality =
-        idf_mass_total > 0 ? idf_mass_read / idf_mass_total : 1.0;
-
-    results.push_back(ir::MergeShardResults(&responses, n));
-
-    batch.postings_touched_total += one.postings_touched_total;
-    batch.postings_touched_max_node =
-        std::max(batch.postings_touched_max_node, one.postings_touched_max_node);
-    batch.blocks_skipped += one.blocks_skipped;
-    batch.blocks_decoded += one.blocks_decoded;
-    batch.pivot_iterations += one.pivot_iterations;
-    batch.cursor_advances += one.cursor_advances;
-    batch.predicted_quality =
-        std::min(batch.predicted_quality, one.predicted_quality);
-    batch.critical_path_us += one.critical_path_us;
-    batch.total_cpu_us += one.total_cpu_us;
-    if (per_query_stats != nullptr) per_query_stats->push_back(one);
-  }
-  if (stats != nullptr) *stats = batch;
-  return results;
+  return ir::CoordinateBatch(
+      std::move(batch), idf_masses, {snapshot->live_docs()},
+      /*executor=*/nullptr,
+      [&snapshot](size_t, const std::vector<ir::ShardQuery>& b,
+                  std::atomic<double>*, std::vector<ir::ShardResult>* results,
+                  ir::ClusterQueryStats*) {
+        results->resize(b.size());
+        for (size_t q = 0; q < b.size(); ++q) {
+          (*results)[q] = ingest::EvaluateLiveShardQuery(*snapshot, b[q]);
+        }
+        return true;
+      },
+      stats, per_query_stats);
 }
 
 }  // namespace dls::serve

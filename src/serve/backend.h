@@ -41,7 +41,11 @@ class Backend {
   /// given, aggregates over the batch; `per_query_stats`, when given,
   /// is filled with one entry per query attributing that rider's own
   /// work, latency and quality (wire traffic and replica routing
-  /// events are batch-level and stay in the aggregate).
+  /// events are batch-level and stay in the aggregate). All three
+  /// adapters fold both through ir::CoordinateBatch: every batch
+  /// counter is the sum over its riders, and the batch
+  /// predicted_quality is the pooled idf-mass estimate, not the
+  /// minimum over riders (served answers read per-rider quality).
   virtual std::vector<std::vector<ir::ClusterScoredDoc>> QueryBatch(
       const std::vector<std::vector<std::string>>& queries, size_t n,
       size_t max_fragments, ir::ClusterQueryStats* stats,
@@ -56,12 +60,8 @@ class Backend {
   virtual uint64_t BytesMapped() const { return 0; }
 };
 
-/// Adapter over the in-process cluster. Batches evaluate as a
-/// sequential loop of ClusterIndex::Query (per-query node fan-out
-/// still parallelises through the cluster's executor); batch stats
-/// sum the work counters, take the conservative minimum of the
-/// per-query quality estimates, and sum critical paths (the queries
-/// really do run back to back).
+/// Adapter over the in-process cluster: QueryBatch forwards to
+/// ClusterIndex::QueryBatch.
 class LocalBackend final : public Backend {
  public:
   /// Non-owning; `cluster` must outlive the backend and be finalized.
@@ -80,7 +80,10 @@ class LocalBackend final : public Backend {
       const std::vector<std::vector<std::string>>& queries, size_t n,
       size_t max_fragments, ir::ClusterQueryStats* stats,
       std::vector<ir::ClusterQueryStats>* per_query_stats,
-      const ir::RankOptions& options) const override;
+      const ir::RankOptions& options) const override {
+    return cluster_->QueryBatch(queries, n, max_fragments, stats, options,
+                                per_query_stats);
+  }
 
   uint64_t BytesResident() const override {
     return cluster_->bytes_resident();
@@ -91,11 +94,13 @@ class LocalBackend final : public Backend {
   const ir::ClusterIndex* cluster_;
 };
 
-/// Adapter over the remote cluster: QueryBatch ships the whole batch
-/// in one frame per shard, which is exactly the amortisation the
-/// frontend's dynamic batcher exists to exploit. The epoch is the one
-/// aggregated at Connect() time — observing a reindexed shard takes a
-/// re-Connect, which is the remote deployment's epoch-bump event.
+/// Adapter over the remote cluster: QueryBatch forwards to
+/// RemoteClusterIndex::QueryBatch, which ships the whole batch in one
+/// frame per shard — exactly the amortisation the frontend's dynamic
+/// batcher exists to exploit. The epoch is the one aggregated at
+/// Connect() time and advanced by every mutation routed through the
+/// centre; observing a shard reindexed behind its back takes a
+/// re-Connect.
 class RemoteBackend final : public Backend {
  public:
   /// Non-owning; `cluster` must outlive the backend and be connected.
@@ -123,9 +128,12 @@ class RemoteBackend final : public Backend {
 /// backend whose epoch actually moves while serving. One snapshot is
 /// pinned per QueryBatch — every query in the batch answers from the
 /// identical epoch, and a concurrent insert/delete/merge never tears a
-/// batch. Epoch() is the live epoch, which bumps on every mutation;
-/// that is exactly the signal the frontend's warmer watches to re-run
-/// hot keys after a merge.
+/// batch. The batch resolves against the snapshot's effective
+/// statistics and runs through ir::CoordinateBatch as a one-node
+/// cluster whose node call is ingest::EvaluateLiveShardQuery. Epoch()
+/// is the live epoch, which bumps on every mutation; that is exactly
+/// the signal the frontend's warmer watches to re-run hot keys after a
+/// merge.
 class LiveBackend final : public Backend {
  public:
   /// Non-owning; `live` must outlive the backend.

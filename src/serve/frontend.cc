@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -137,16 +136,8 @@ SearchResult Frontend::Search(const SearchQuery& query) {
     stems.push_back("\x02federated");
     stems.push_back(canonical);
   } else {
-    const bool stem = backend_->NormStem();
-    const bool stop = backend_->NormStop();
-    for (const std::string& word : query.words) {
-      std::optional<std::string> norm = ir::NormalizeWordAs(word, stem, stop);
-      if (!norm) continue;
-      if (std::find(stems.begin(), stems.end(), *norm) != stems.end()) {
-        continue;
-      }
-      stems.push_back(std::move(*norm));
-    }
+    stems = ir::NormalizeQuery(query.words, backend_->NormStem(),
+                               backend_->NormStop());
   }
 
   // Graceful degradation: past the watermark, answer cheaper (lower

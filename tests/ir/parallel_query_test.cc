@@ -161,6 +161,55 @@ TEST(ParallelQueryTest, ConcurrentQueriesAreThreadSafe) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+// QueryBatch runs the same coordinator as Query: with the nodes called
+// in turn, every rider — pruned ones included, through their own
+// threshold feedback — ranks and counts exactly as when it travels
+// alone; over the pool the rankings stay identical.
+TEST(ParallelQueryTest, QueryBatchMatchesPerQuery) {
+  ClusterIndex cluster(5, 4);
+  BuildCorpus(&cluster, 400, 61);
+  auto queries = SeededQueries(16, 62);
+
+  RankOptions pruned;
+  pruned.prune = true;
+  pruned.strategy = RankStrategy::kWand;
+  ThreadPool pool(3);
+  for (const RankOptions& options : {RankOptions(), pruned}) {
+    cluster.SetExecutor(nullptr);
+    ClusterQueryStats batch_stats;
+    std::vector<ClusterQueryStats> per_query;
+    std::vector<std::vector<ClusterScoredDoc>> batched =
+        cluster.QueryBatch(queries, 10, 3, &batch_stats, options, &per_query);
+    ASSERT_EQ(batched.size(), queries.size());
+    ASSERT_EQ(per_query.size(), queries.size());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      ClusterQueryStats solo;
+      ExpectIdentical(batched[q],
+                      cluster.Query(queries[q], 10, 3, &solo, options), q);
+      const ClusterQueryStats& rider = per_query[q];
+      EXPECT_EQ(rider.postings_touched_total, solo.postings_touched_total);
+      EXPECT_EQ(rider.postings_touched_max_node,
+                solo.postings_touched_max_node);
+      EXPECT_EQ(rider.blocks_skipped, solo.blocks_skipped);
+      EXPECT_EQ(rider.blocks_decoded, solo.blocks_decoded);
+      EXPECT_EQ(rider.pivot_iterations, solo.pivot_iterations);
+      EXPECT_EQ(rider.cursor_advances, solo.cursor_advances);
+      EXPECT_EQ(rider.messages, solo.messages);
+      EXPECT_EQ(rider.bytes_shipped, solo.bytes_shipped);
+      EXPECT_EQ(rider.predicted_quality, solo.predicted_quality);
+    }
+
+    cluster.SetExecutor(&pool);
+    std::vector<std::vector<ClusterScoredDoc>> parallel =
+        cluster.QueryBatch(queries, 10, 3, nullptr, options);
+    ASSERT_EQ(parallel.size(), queries.size());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      ExpectIdentical(parallel[q], batched[q], q);
+    }
+  }
+  cluster.SetExecutor(nullptr);
+}
+
 TEST(ParallelQueryTest, DetachingExecutorRestoresSequentialPath) {
   ClusterIndex cluster(3, 2);
   BuildCorpus(&cluster, 100, 51);

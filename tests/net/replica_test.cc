@@ -295,28 +295,41 @@ TEST(ReplicaTest, PerQueryStatsAttributePerRider) {
   ReplicatedCluster fx(4, 2, 120, 1);
   ASSERT_TRUE(fx.remote->Connect().ok());
 
-  ir::ClusterQueryStats batch_stats;
-  std::vector<ir::ClusterQueryStats> per_query;
-  std::vector<std::vector<ir::ClusterScoredDoc>> batched = fx.remote->QueryBatch(
-      kQueries, 10, 4, &batch_stats, {}, &per_query);
-  ASSERT_EQ(per_query.size(), kQueries.size());
+  // Exhaustive, and pruned with the shards called in turn: a pruned
+  // rider gets the same per-shard threshold feedback in a batch as
+  // alone, so it does exactly its solo work.
+  ir::RankOptions pruned;
+  pruned.prune = true;
+  pruned.strategy = ir::RankStrategy::kWand;
+  for (const ir::RankOptions& options : {ir::RankOptions(), pruned}) {
+    ir::ClusterQueryStats batch_stats;
+    std::vector<ir::ClusterQueryStats> per_query;
+    std::vector<std::vector<ir::ClusterScoredDoc>> batched =
+        fx.remote->QueryBatch(kQueries, 10, 4, &batch_stats, options,
+                              &per_query);
+    ASSERT_EQ(per_query.size(), kQueries.size());
 
-  size_t postings_sum = 0;
-  for (size_t q = 0; q < kQueries.size(); ++q) {
-    // Each rider's attribution matches what the same query reports
-    // when it travels alone (work counters and quality are per-query
-    // deterministic; only wire traffic is batch-level).
-    ir::ClusterQueryStats solo;
-    ExpectSameRanking(batched[q], fx.remote->Query(kQueries[q], 10, 4, &solo));
-    EXPECT_EQ(per_query[q].postings_touched_total, solo.postings_touched_total)
-        << "query " << q;
-    EXPECT_EQ(Bits(per_query[q].predicted_quality),
-              Bits(solo.predicted_quality))
-        << "query " << q;
-    EXPECT_EQ(per_query[q].messages, 0u);  // wire traffic stays aggregate
-    postings_sum += per_query[q].postings_touched_total;
+    size_t postings_sum = 0;
+    for (size_t q = 0; q < kQueries.size(); ++q) {
+      // Each rider's attribution matches what the same query reports
+      // when it travels alone (work counters and quality are per-query
+      // deterministic; only wire traffic is batch-level).
+      ir::ClusterQueryStats solo;
+      ExpectSameRanking(batched[q],
+                        fx.remote->Query(kQueries[q], 10, 4, &solo, options));
+      EXPECT_EQ(per_query[q].postings_touched_total,
+                solo.postings_touched_total)
+          << "prune " << options.prune << " query " << q;
+      EXPECT_EQ(per_query[q].pivot_iterations, solo.pivot_iterations)
+          << "prune " << options.prune << " query " << q;
+      EXPECT_EQ(Bits(per_query[q].predicted_quality),
+                Bits(solo.predicted_quality))
+          << "prune " << options.prune << " query " << q;
+      EXPECT_EQ(per_query[q].messages, 0u);  // wire traffic stays aggregate
+      postings_sum += per_query[q].postings_touched_total;
+    }
+    EXPECT_EQ(postings_sum, batch_stats.postings_touched_total);
   }
-  EXPECT_EQ(postings_sum, batch_stats.postings_touched_total);
 }
 
 /// Transport decorator that stalls before forwarding — makes the inner
