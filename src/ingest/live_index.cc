@@ -17,20 +17,20 @@ namespace dls::ingest {
 namespace {
 
 /// Per-stem term counts of a document body under the index's
-/// normalisation — byte-for-byte the pipeline TextIndex::AddDocument
-/// runs (Tokenize + NormalizeWordAs), so the df/length bookkeeping a
+/// normalisation — the pipeline TextIndex::AddDocument runs
+/// (ForEachToken + NormalizeWordAs), so the df/length bookkeeping a
 /// tombstone reverses is exactly what indexing once added.
 std::unordered_map<std::string, int32_t> TermCounts(std::string_view text,
                                                     bool stem, bool stop,
                                                     int64_t* length) {
   std::unordered_map<std::string, int32_t> counts;
   int64_t total = 0;
-  for (const std::string& token : ir::Tokenize(text)) {
+  ir::ForEachToken(text, [&](std::string_view token) {
     std::optional<std::string> norm = ir::NormalizeWordAs(token, stem, stop);
-    if (!norm) continue;
+    if (!norm) return;
     ++counts[*norm];
     ++total;
-  }
+  });
   if (length != nullptr) *length = total;
   return counts;
 }
@@ -604,10 +604,7 @@ ir::ShardResult EvaluateLiveShardQuery(const LiveIndex::Snapshot& snapshot,
         part.index.get()};
     // Over-fetch by the part's tombstone count so the post-filter
     // top-n is exact (see LiveIndex::Snapshot::Query).
-    uint32_t dead = 0;
-    for (uint64_t id : part.global_ids) {
-      if (snapshot.IsDeleted(id)) ++dead;
-    }
+    const uint32_t dead = snapshot.part_tombstones()[pi];
     ir::RankStats rank_stats;
     std::vector<ir::ScoredDoc> local = ir::EvaluateTopN(
         std::move(terms), part.index->document_count(),

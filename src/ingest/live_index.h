@@ -158,6 +158,12 @@ class LiveIndex {
     const std::vector<std::shared_ptr<const Part>>& parts() const {
       return parts_;
     }
+    /// Entry i: the tombstoned documents still physically present in
+    /// parts()[i]. Kept current by every mutation, so a query reads the
+    /// count instead of probing the tombstone set per document.
+    const std::vector<uint32_t>& part_tombstones() const {
+      return part_tombstones_;
+    }
     size_t delta_docs() const;
 
     /// Effective df of a stem: Σ over parts minus tombstoned holders.

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
 #include "common/mmap.h"
@@ -39,14 +41,14 @@ std::optional<std::string> TextIndex::NormalizeWord(
 }
 
 TermId TextIndex::InternTerm(const std::string& stem) {
-  auto it = term_ids_.find(stem);
-  if (it != term_ids_.end()) return it->second;
-  TermId id = static_cast<TermId>(terms_.size());
-  terms_.push_back(stem);
-  term_ids_.emplace(stem, id);
-  postings_.emplace_back();
-  df_.push_back(0);
-  return id;
+  const auto [it, added] =
+      term_ids_.try_emplace(stem, static_cast<TermId>(terms_.size()));
+  if (added) {
+    terms_.push_back(stem);
+    postings_.emplace_back();
+    df_.push_back(0);
+  }
+  return it->second;
 }
 
 DocId TextIndex::AddDocument(std::string_view url, std::string_view text) {
@@ -57,14 +59,37 @@ DocId TextIndex::AddDocument(std::string_view url, std::string_view text) {
   doc_lengths_.push_back(0);
   inv_doc_lengths_.push_back(0.0);
 
-  PendingDoc pending;
-  pending.doc = doc;
-  for (const std::string& token : Tokenize(text)) {
-    std::optional<std::string> norm = NormalizeWord(token);
-    if (!norm) continue;
-    ++pending.counts[InternTerm(*norm)];
+  // Each distinct raw token of the batch is normalised once; repeats
+  // read the memo. A miss runs NormalizeWord + InternTerm in token
+  // order, so term ids keep their first-occurrence order.
+  const size_t begin = pending_counts_.size();
+  ForEachToken(text, [&](std::string_view token) {
+    const size_t hash = std::hash<std::string_view>{}(token);
+    const TermId* memo = token_terms_.Find(token, hash);
+    TermId term;
+    if (memo != nullptr) {
+      term = *memo;
+    } else {
+      std::optional<std::string> norm = NormalizeWord(token);
+      term = norm ? InternTerm(*norm) : kInvalidTerm;
+      token_terms_.Insert(token, hash, term);
+    }
+    if (term != kInvalidTerm) pending_counts_.emplace_back(term, 1);
+  });
+  // Sort the document's occurrences by term and fold repeats into tf.
+  std::sort(pending_counts_.begin() + static_cast<ptrdiff_t>(begin),
+            pending_counts_.end());
+  size_t end = begin;
+  for (size_t i = begin; i < pending_counts_.size(); ++i) {
+    const TermId term = pending_counts_[i].first;
+    if (end > begin && pending_counts_[end - 1].first == term) {
+      ++pending_counts_[end - 1].second;
+    } else {
+      pending_counts_[end++] = pending_counts_[i];
+    }
   }
-  pending_.push_back(std::move(pending));
+  pending_counts_.resize(end);
+  pending_.push_back(PendingDoc{doc, end});
   mutation_epoch_.fetch_add(1, std::memory_order_release);
 
   if (pending_.size() >= options_.flush_batch) Flush();
@@ -74,13 +99,16 @@ DocId TextIndex::AddDocument(std::string_view url, std::string_view text) {
 void TextIndex::Flush() {
   if (pending_.empty()) return;
   mutation_epoch_.fetch_add(1, std::memory_order_release);
-  for (PendingDoc& doc : pending_) {
+  size_t begin = 0;
+  for (const PendingDoc& doc : pending_) {
     int64_t len = 0;
-    for (const auto& [term, tf] : doc.counts) {
+    for (size_t i = begin; i < doc.counts_end; ++i) {
+      const auto [term, tf] = pending_counts_[i];
       postings_[term].Append(doc.doc, tf);
       ++df_[term];
       len += tf;
     }
+    begin = doc.counts_end;
     doc_lengths_[doc.doc] = len;
     if (len > 0) {
       double inv = 1.0 / static_cast<double>(len);
@@ -90,7 +118,11 @@ void TextIndex::Flush() {
     collection_length_ += len;
     ++flushed_docs_;
   }
-  pending_.clear();
+  // Free the batch buffers (clear() would keep their capacity), so a
+  // flushed index holds nothing beyond its relations.
+  std::vector<PendingDoc>().swap(pending_);
+  std::vector<std::pair<TermId, int32_t>>().swap(pending_counts_);
+  token_terms_.Release();
   // Re-pack the lists this flush appended to (Pack() is a size-check
   // no-op on untouched ones, FinalizeBlockBounds only keys blocks the
   // flush grew), so a frozen index is always packed and always carries
@@ -99,6 +131,56 @@ void TextIndex::Flush() {
     list.Pack();
     list.FinalizeBlockBounds(inv_doc_lengths_.data());
   }
+}
+
+const TermId* TextIndex::TokenMemo::Find(std::string_view token,
+                                        size_t hash) const {
+  if (slots_.empty()) return nullptr;
+  const size_t mask = slots_.size() - 1;
+  const uint32_t tag = static_cast<uint32_t>(hash);
+  for (size_t i = tag & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.key == 0) return nullptr;
+    if (slot.hash == tag && Key(slot.key) == token) return &slot.term;
+  }
+}
+
+void TextIndex::TokenMemo::Insert(std::string_view token, size_t hash,
+                                  TermId term) {
+  // Past 2^32 - 1 distinct tokens a batch stops memoising: a token the
+  // memo lacks is normalised afresh, which is always correct.
+  if (key_ends_.size() >= std::numeric_limits<uint32_t>::max()) return;
+  if (2 * (key_ends_.size() + 1) > slots_.size()) Grow();
+  keys_.append(token);
+  key_ends_.push_back(keys_.size());
+  const size_t mask = slots_.size() - 1;
+  const uint32_t tag = static_cast<uint32_t>(hash);
+  size_t i = tag & mask;
+  while (slots_[i].key != 0) i = (i + 1) & mask;
+  slots_[i] = Slot{tag, static_cast<uint32_t>(key_ends_.size()), term};
+}
+
+std::string_view TextIndex::TokenMemo::Key(uint32_t key) const {
+  const size_t begin = key == 1 ? 0 : key_ends_[key - 2];
+  return std::string_view(keys_).substr(begin, key_ends_[key - 1] - begin);
+}
+
+void TextIndex::TokenMemo::Grow() {
+  std::vector<Slot> grown(std::max<size_t>(64, 2 * slots_.size()));
+  const size_t mask = grown.size() - 1;
+  for (const Slot& slot : slots_) {
+    if (slot.key == 0) continue;
+    size_t i = slot.hash & mask;
+    while (grown[i].key != 0) i = (i + 1) & mask;
+    grown[i] = slot;
+  }
+  slots_.swap(grown);
+}
+
+void TextIndex::TokenMemo::Release() {
+  std::vector<Slot>().swap(slots_);
+  std::string().swap(keys_);
+  std::vector<size_t>().swap(key_ends_);
 }
 
 void TextIndex::ReleaseUnpackedPostings() {

@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -215,7 +216,9 @@ struct RankOptions {
 /// Indexing is incremental in the paper's sense: AddDocument buffers
 /// per-document term counts and Flush() (called automatically every
 /// `flush_batch` documents) folds them into the posting lists and
-/// updates df/idf. Queries observe only flushed documents.
+/// updates df/idf. Queries observe only flushed documents. Within one
+/// batch each distinct raw token is normalised and interned once; the
+/// relations are exactly those of normalising every token.
 ///
 /// Thread-safety contract (the read path of the parallel execution
 /// engine relies on this): the index is *frozen for reads* once
@@ -399,12 +402,47 @@ class TextIndex {
   /// in the posting lists. Null for heap-built indexes.
   std::shared_ptr<MappedFile> segment_;
 
-  /// Buffered (doc, term -> tf) counts awaiting Flush().
+  /// Normalisation memo of the pending batch: an open-addressing table
+  /// from a raw lowercased token to its term id, or kInvalidTerm for a
+  /// token normalisation drops (a stopword). The keys share one byte
+  /// arena, so filling the memo allocates only when an array grows and
+  /// freeing it releases three buffers, however many tokens it holds.
+  class TokenMemo {
+   public:
+    /// The memoised term of `token` (whose std::hash<string_view> is
+    /// `hash`), or nullptr when the batch has not seen it.
+    const TermId* Find(std::string_view token, size_t hash) const;
+    /// Records `token`, which Find() did not hold.
+    void Insert(std::string_view token, size_t hash, TermId term);
+    /// Frees every buffer.
+    void Release();
+
+   private:
+    struct Slot {
+      uint32_t hash = 0;  // low 32 bits of the token's hash
+      uint32_t key = 0;   // 1 + the token's index in key_ends_; 0: empty
+      TermId term = kInvalidTerm;
+    };
+    std::string_view Key(uint32_t key) const;
+    void Grow();
+
+    std::vector<Slot> slots_;  // power-of-two size, at most half full
+    std::string keys_;         // the tokens, back to back
+    std::vector<size_t> key_ends_;  // end of each token in keys_
+  };
+
+  /// Documents awaiting Flush(): document i's distinct terms, ascending,
+  /// each with its tf, are pending_counts_[pending_[i-1].counts_end,
+  /// pending_[i].counts_end).
   struct PendingDoc {
     DocId doc;
-    std::unordered_map<TermId, int32_t> counts;
+    size_t counts_end;
   };
   std::vector<PendingDoc> pending_;
+  std::vector<std::pair<TermId, int32_t>> pending_counts_;
+  /// Freed by Flush() together with the pending documents, so a flushed
+  /// index holds no memo.
+  TokenMemo token_terms_;
 };
 
 /// Scores one (tf, df, doclen) triple under the Hiemstra-derived model:

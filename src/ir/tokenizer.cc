@@ -1,34 +1,12 @@
 #include "ir/tokenizer.h"
 
 namespace dls::ir {
-namespace {
-
-bool IsLetter(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
-}
-bool IsDigit(char c) { return c >= '0' && c <= '9'; }
-
-char Lower(char c) {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-}
-
-}  // namespace
 
 std::vector<std::string> Tokenize(std::string_view text) {
   std::vector<std::string> tokens;
-  size_t i = 0;
-  while (i < text.size()) {
-    if (!IsLetter(text[i])) {
-      ++i;
-      continue;
-    }
-    std::string token;
-    while (i < text.size() && (IsLetter(text[i]) || IsDigit(text[i]))) {
-      token.push_back(Lower(text[i]));
-      ++i;
-    }
-    tokens.push_back(std::move(token));
-  }
+  ForEachToken(text, [&tokens](std::string_view token) {
+    tokens.emplace_back(token);
+  });
   return tokens;
 }
 

@@ -280,6 +280,58 @@ TEST(LiveBitIdentityTest, RandomizedScheduleSequential) {
   }
 }
 
+TEST(LiveIndexTest, StoredPartTombstonesMatchRecountAfterEveryStep) {
+  Rng rng(20261018);
+  ZipfSampler zipf(80, 1.1);
+  LiveIndexOptions opts;
+  opts.delta_seal_docs = 6;
+  LiveIndex live(opts);
+  std::vector<ShadowDoc> docs;
+  std::vector<size_t> live_ids;
+  std::vector<size_t> dead_ids;
+  for (size_t step = 0; step < 400; ++step) {
+    const double roll = rng.NextDouble();
+    if (roll < 0.5 || live_ids.empty()) {
+      std::string url = StrFormat("doc-%04zu", docs.size());
+      std::string body = MakeBody(&rng, &zipf, 1 + rng.Uniform(10));
+      ASSERT_TRUE(live.Insert(url, body).ok());
+      live_ids.push_back(docs.size());
+      docs.push_back(ShadowDoc{std::move(url), std::move(body)});
+    } else if (roll < 0.6 && !dead_ids.empty()) {
+      // Re-insert a deleted url: a fresh id beside its tombstoned one.
+      const size_t pick = rng.Uniform(dead_ids.size());
+      const std::string url = docs[dead_ids[pick]].url;
+      dead_ids[pick] = dead_ids.back();
+      dead_ids.pop_back();
+      std::string body = MakeBody(&rng, &zipf, 1 + rng.Uniform(10));
+      ASSERT_TRUE(live.Insert(url, body).ok());
+      live_ids.push_back(docs.size());
+      docs.push_back(ShadowDoc{url, std::move(body)});
+    } else if (roll < 0.9) {
+      const size_t pick = rng.Uniform(live_ids.size());
+      const size_t victim = live_ids[pick];
+      ASSERT_TRUE(live.Delete(docs[victim].url));
+      docs[victim].alive = false;
+      dead_ids.push_back(victim);
+      live_ids[pick] = live_ids.back();
+      live_ids.pop_back();
+    } else {
+      live.Merge();
+    }
+
+    std::shared_ptr<const LiveIndex::Snapshot> snap = live.Pin();
+    ASSERT_EQ(snap->part_tombstones().size(), snap->parts().size());
+    for (size_t pi = 0; pi < snap->parts().size(); ++pi) {
+      uint32_t recount = 0;
+      for (uint64_t id : snap->parts()[pi]->global_ids) {
+        if (snap->IsDeleted(id)) ++recount;
+      }
+      ASSERT_EQ(snap->part_tombstones()[pi], recount)
+          << "step " << step << " part " << pi;
+    }
+  }
+}
+
 TEST(LiveBitIdentityTest, ParallelPinnedReadersSurviveMutationsAndMerge) {
   Rng rng(7);
   ZipfSampler zipf(120, 1.1);
