@@ -33,12 +33,17 @@
 #                       ASan/UBSan should see).
 #   ci/check.sh faults  fault-injection stage: the net replica/fault
 #                       suites, the serve fault suite, the live
-#                       mutate-while-query suite and the live stats-
+#                       mutate-while-query suite, the live stats-
 #                       delta schedule (every mutation's delta checked
-#                       against a fresh stats handshake) under a
-#                       deterministic randomized schedule, once per
-#                       seed in DLS_FAULT_SEEDS (default "1 7 42"),
-#                       then the same schedule under the packed kernel.
+#                       against a fresh stats handshake) and the live
+#                       node schedule (insert/re-insert/delete/merge on
+#                       2-3 live nodes behind one ShardServer, every
+#                       node's answer checked against a rebuild of its
+#                       live documents and its deletion state against a
+#                       shadow model) under a deterministic randomized
+#                       schedule, once per seed in DLS_FAULT_SEEDS
+#                       (default "1 7 42"), then the same schedule
+#                       under the packed kernel.
 #                       Every seed must keep every answer bit-identical
 #                       at full quality — failover and hedging are only
 #                       allowed to hide faults, never to change results,
@@ -111,10 +116,11 @@ faults() {
   local filter='ReplicaTest*:FaultScheduleTest*:ServeFaultInjectionTest*'
   local live_filter='LiveConcurrencyTest*'
   local delta_filter='LiveClusterTest.StatsDeltas*'
+  local node_filter='LiveClusterTest.SeededSchedule*'
   for seed in ${DLS_FAULT_SEEDS:-1 7 42}; do
     echo "== fault schedule, seed $seed =="
     DLS_FAULT_SEED="$seed" ./build/tests/dls_net_tests \
-      --gtest_filter="$filter:$delta_filter"
+      --gtest_filter="$filter:$delta_filter:$node_filter"
     DLS_FAULT_SEED="$seed" ./build/tests/dls_serve_tests \
       --gtest_filter="$filter"
     DLS_FAULT_SEED="$seed" ./build/tests/dls_ingest_tests \
@@ -122,7 +128,7 @@ faults() {
   done
   echo "== fault schedule under the packed kernel, seed 1 =="
   DLS_KERNEL=packed ./build/tests/dls_net_tests \
-    --gtest_filter="$filter:$delta_filter"
+    --gtest_filter="$filter:$delta_filter:$node_filter"
   DLS_KERNEL=packed ./build/tests/dls_serve_tests --gtest_filter="$filter"
   DLS_KERNEL=packed ./build/tests/dls_ingest_tests \
     --gtest_filter="$live_filter"

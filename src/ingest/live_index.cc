@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "common/strings.h"
@@ -55,10 +56,48 @@ void AddRankStats(const ir::RankStats& from, ir::RankStats* into) {
   into->cursor_advances += from.cursor_advances;
 }
 
+/// The part holding global id `id` and its local doc id there, if any
+/// part still holds it. Parts hold ascending global ids.
+std::optional<std::pair<size_t, ir::DocId>> Locate(
+    const std::vector<std::shared_ptr<const LiveIndex::Part>>& parts,
+    uint64_t id) {
+  for (size_t pi = 0; pi < parts.size(); ++pi) {
+    const std::vector<uint64_t>& ids = parts[pi]->global_ids;
+    auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    if (it != ids.end() && *it == id) {
+      return std::make_pair(pi, static_cast<ir::DocId>(it - ids.begin()));
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Snapshot
+
+std::shared_ptr<const LiveIndex::Snapshot> LiveIndex::Snapshot::Frozen(
+    std::shared_ptr<const ir::TextIndex> index,
+    std::shared_ptr<const ir::FragmentedIndex> fragments) {
+  auto snap = std::make_shared<Snapshot>();
+  snap->total_docs_ = index->flushed_document_count();
+  snap->epoch_ = index->mutation_epoch();
+  snap->stem_ = index->options().stem;
+  snap->stop_ = index->options().stop;
+  snap->parts_.push_back(std::make_shared<const Part>(
+      Part{std::move(index), std::move(fragments), {}, /*frozen=*/true, {}}));
+  snap->live_.resize(1);
+  snap->part_tombstones_.resize(1);
+  snap->df_minus_ =
+      std::make_shared<const std::unordered_map<std::string, int32_t>>();
+  return snap;
+}
+
+bool LiveIndex::Snapshot::IsDeleted(uint64_t id) const {
+  const auto at = Locate(parts_, id);
+  return at && live_[at->first] != nullptr &&
+         !live_[at->first]->Contains(at->second);
+}
 
 int64_t LiveIndex::Snapshot::collection_length() const {
   int64_t sum = 0;
@@ -66,14 +105,6 @@ int64_t LiveIndex::Snapshot::collection_length() const {
     sum += p->index->collection_length();
   }
   return sum - cl_minus_;
-}
-
-size_t LiveIndex::Snapshot::delta_docs() const {
-  size_t sum = 0;
-  for (const std::shared_ptr<const Part>& p : parts_) {
-    if (!p->frozen) sum += p->global_ids.size();
-  }
-  return sum;
 }
 
 int32_t LiveIndex::Snapshot::EffectiveDf(std::string_view stem) const {
@@ -105,6 +136,22 @@ LiveIndex::Snapshot::EffectiveDfTable() const {
   return table;
 }
 
+std::vector<std::pair<std::string, int32_t>>
+LiveIndex::Snapshot::EffectiveDfList() const {
+  std::vector<std::pair<std::string, int32_t>> list;
+  if (parts_.size() == 1 && df_minus_->empty()) {
+    const ir::TextIndex& index = *parts_[0]->index;
+    list.reserve(index.vocabulary_size());
+    for (ir::TermId t = 0; t < index.vocabulary_size(); ++t) {
+      list.emplace_back(index.term(t), index.df(t));
+    }
+    return list;
+  }
+  for (auto& [stem, df] : EffectiveDfTable()) list.emplace_back(stem, df);
+  std::sort(list.begin(), list.end());
+  return list;
+}
+
 std::vector<LiveScoredDoc> LiveIndex::Snapshot::Query(
     const std::vector<std::string>& words, size_t n,
     const ir::RankOptions& options, ir::RankStats* stats) const {
@@ -118,79 +165,53 @@ std::vector<LiveScoredDoc> LiveIndex::Snapshot::Query(
       ir::NormalizeQuery(words, stem_, stop_);
   if (stems.empty()) return {};
 
-  // Resolve per part and compute effective df. Stems whose live df is
-  // 0 (absent everywhere, or every holder tombstoned) are dropped —
-  // the rebuild's vocabulary would not contain them either.
+  // Stems whose live df is 0 (absent everywhere, or every holder
+  // tombstoned) are dropped — the rebuild's vocabulary would not
+  // contain them either.
   const int64_t eff_cl = collection_length();
-  std::vector<int32_t> eff_df(stems.size(), 0);
-  std::vector<std::vector<std::optional<ir::TermId>>> resolved(
-      parts_.size(), std::vector<std::optional<ir::TermId>>(stems.size()));
-  for (size_t i = 0; i < stems.size(); ++i) {
-    int64_t df = 0;
-    for (size_t pi = 0; pi < parts_.size(); ++pi) {
-      std::optional<ir::TermId> t = parts_[pi]->index->LookupTerm(stems[i]);
-      resolved[pi][i] = t;
-      if (t) df += parts_[pi]->index->df(*t);
-    }
-    auto it = df_minus_->find(stems[i]);
-    if (it != df_minus_->end()) df -= it->second;
-    eff_df[i] = static_cast<int32_t>(df);
-  }
+  std::vector<int32_t> eff_df;
+  for (const std::string& stem : stems) eff_df.push_back(EffectiveDf(stem));
 
-  // Evaluate each part independently: per-part top (n + tombstones in
-  // the part) under the global effective statistics and the local
-  // doc-id tie order (local order is global order within a part), then
-  // filter tombstoned hits. The over-fetch makes the filter exact: at
-  // most part_tombstones_ dead documents can outrank a live one.
-  struct Cand {
-    double score;
-    uint64_t id;
-    const Part* part;
-    ir::DocId local;
-  };
-  std::vector<Cand> cands;
+  // Evaluate each part independently: its live top n under the global
+  // effective statistics and the local doc-id tie order (local order is
+  // global order within a part).
+  std::vector<LiveScoredDoc> out;
   for (size_t pi = 0; pi < parts_.size(); ++pi) {
     const Part& part = *parts_[pi];
     std::vector<ir::EvalTerm> terms;
     terms.reserve(stems.size());
     for (size_t i = 0; i < stems.size(); ++i) {
       if (eff_df[i] <= 0) continue;
-      const std::optional<ir::TermId>& t = resolved[pi][i];
+      std::optional<ir::TermId> t = part.index->LookupTerm(stems[i]);
       if (!t) continue;
       terms.push_back(ir::EvalTerm{
           &part.index->postings(*t),
           ir::TermWeight(eff_df[i], eff_cl, options), eff_df[i]});
     }
     if (terms.empty()) continue;
-    const size_t want = n + part_tombstones_[pi];
+    ir::RankOptions part_options = options;
+    part_options.doc_filter = live_[pi].get();
     ir::RankStats part_stats;
     std::vector<ir::ScoredDoc> top = ir::EvaluateTopN(
         std::move(terms), part.index->document_count(),
         part.index->inv_doc_length_data(), part.index->max_inv_doc_length(),
-        want, /*initial_threshold=*/0.0, ir::DocIdTieLess{}, options,
+        n, /*initial_threshold=*/0.0, ir::DocIdTieLess{}, part_options,
         &part_stats);
     if (stats != nullptr) AddRankStats(part_stats, stats);
-    size_t kept = 0;
     for (const ir::ScoredDoc& d : top) {
-      const uint64_t id = part.global_ids[d.doc];
-      if (IsDeleted(id)) continue;
-      cands.push_back(Cand{d.score, id, &part, d.doc});
-      if (++kept == n) break;
+      out.push_back(LiveScoredDoc{part.global_id(d.doc),
+                                  part.index->url(d.doc), d.score});
     }
   }
 
   // Merge on (score desc, global id asc): global ids are insertion
   // order, i.e. exactly a rebuild's doc-id tie order.
-  std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.id < b.id;
-  });
-  if (cands.size() > n) cands.resize(n);
-  std::vector<LiveScoredDoc> out;
-  out.reserve(cands.size());
-  for (const Cand& c : cands) {
-    out.push_back(LiveScoredDoc{c.id, c.part->index->url(c.local), c.score});
-  }
+  std::sort(out.begin(), out.end(),
+            [](const LiveScoredDoc& a, const LiveScoredDoc& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.id < b.id;
+            });
+  if (out.size() > n) out.resize(n);
   return out;
 }
 
@@ -200,17 +221,11 @@ std::vector<LiveScoredDoc> LiveIndex::Snapshot::Query(
 LiveIndex::LiveIndex(LiveIndexOptions options)
     : options_(std::move(options)) {
   if (options_.delta_seal_docs == 0) options_.delta_seal_docs = 1;
-  tombstones_ = std::make_shared<const std::unordered_set<uint64_t>>();
   df_minus_ =
       std::make_shared<const std::unordered_map<std::string, int32_t>>();
-  auto snap = std::make_shared<Snapshot>();
-  snap->tombstones_ = tombstones_;
-  snap->df_minus_ = df_minus_;
-  snap->stem_ = options_.node.stem;
-  snap->stop_ = options_.node.stop;
   {
-    std::lock_guard<std::mutex> snap_lock(snap_mu_);
-    snapshot_ = std::move(snap);
+    std::lock_guard<std::mutex> lock(mu_);
+    PublishLocked();  // the empty epoch 0
   }
   if (options_.auto_merge_docs > 0) {
     merge_thread_ = std::thread([this] { MergeLoop(); });
@@ -236,15 +251,34 @@ std::shared_ptr<ir::TextIndex> LiveIndex::BuildPart(
   return index;
 }
 
-void LiveIndex::PublishLocked(std::shared_ptr<Snapshot> snap) {
+std::shared_ptr<const ir::DocFilter> LiveIndex::LiveSetLocked(
+    const std::vector<uint64_t>& ids) const {
+  std::shared_ptr<ir::DocFilter> live;
+  for (size_t local = 0; local < ids.size(); ++local) {
+    if (docs_[ids[local]].alive) continue;
+    if (live == nullptr) {
+      live = std::make_shared<ir::DocFilter>(ir::DocFilter::All(ids.size()));
+    }
+    live->Clear(static_cast<ir::DocId>(local));
+  }
+  return live;
+}
+
+void LiveIndex::PublishLocked() {
+  auto snap = std::make_shared<Snapshot>();
   snap->parts_ = parts_;
-  snap->part_tombstones_ = part_tombstones_;
-  snap->tombstones_ = tombstones_;
+  snap->live_ = live_;
   snap->df_minus_ = df_minus_;
   snap->cl_minus_ = cl_minus_;
-  snap->total_docs_ = 0;
-  for (const auto& p : parts_) snap->total_docs_ += p->global_ids.size();
-  snap->epoch_ = ++epoch_;
+  snap->part_tombstones_.resize(parts_.size());
+  for (size_t pi = 0; pi < parts_.size(); ++pi) {
+    const size_t docs = parts_[pi]->global_ids.size();
+    const size_t dead = live_[pi] == nullptr ? 0 : docs - live_[pi]->count();
+    snap->part_tombstones_[pi] = static_cast<uint32_t>(dead);
+    snap->total_docs_ += docs;
+    snap->tombstones_ += dead;
+  }
+  snap->epoch_ = epoch_++;
   snap->stem_ = options_.node.stem;
   snap->stop_ = options_.node.stop;
   std::lock_guard<std::mutex> snap_lock(snap_mu_);
@@ -282,28 +316,24 @@ Result<uint64_t> LiveIndex::Insert(std::string_view url,
   for (uint64_t d : active_ids_) {
     bodies.emplace_back(docs_[d].url, docs_[d].text);
   }
-  auto part = std::make_shared<Part>();
-  part->index = BuildPart(bodies);
-  part->global_ids = active_ids_;
-  part->frozen = false;
-  uint32_t dead = 0;
-  for (uint64_t d : active_ids_) {
-    if (tombstones_->count(d) != 0) ++dead;
-  }
+  auto part = std::make_shared<const Part>(
+      Part{BuildPart(bodies), nullptr, active_ids_, /*frozen=*/false, {}});
+  // The rebuilt part keeps the deletes its predecessor carried.
+  std::shared_ptr<const ir::DocFilter> live = LiveSetLocked(active_ids_);
   if (active_part_ != nullptr) {
     assert(!parts_.empty() && parts_.back() == active_part_);
     parts_.back() = part;
-    part_tombstones_.back() = dead;
+    live_.back() = std::move(live);
   } else {
     parts_.push_back(part);
-    part_tombstones_.push_back(dead);
+    live_.push_back(std::move(live));
   }
   active_part_ = part;
   if (active_ids_.size() >= options_.delta_seal_docs) {
     active_part_ = nullptr;  // sealed: the next insert opens a new part
     active_ids_.clear();
   }
-  PublishLocked(std::make_shared<Snapshot>());
+  PublishLocked();
 
   bool wake = false;
   if (options_.auto_merge_docs > 0) {
@@ -328,9 +358,16 @@ bool LiveIndex::Delete(std::string_view url, StatsDelta* delta) {
   if (!docs_[id].alive) return false;
   docs_[id].alive = false;
 
-  auto tomb = std::make_shared<std::unordered_set<uint64_t>>(*tombstones_);
-  tomb->insert(id);
-  tombstones_ = std::move(tomb);
+  // Clear the document's bit in a copy of its part's live set.
+  const auto at = Locate(parts_, id);
+  assert(at && "every live document sits in a part");
+  const auto& [pi, local] = *at;
+  auto live = live_[pi] != nullptr
+                  ? std::make_shared<ir::DocFilter>(*live_[pi])
+                  : std::make_shared<ir::DocFilter>(ir::DocFilter::All(
+                        parts_[pi]->global_ids.size()));
+  live->Clear(local);
+  live_[pi] = std::move(live);
 
   // Reverse the document's statistics contribution: every part keeps
   // counting it (postings are immutable), so queries subtract it from
@@ -344,15 +381,7 @@ bool LiveIndex::Delete(std::string_view url, StatsDelta* delta) {
   df_minus_ = std::move(minus);
   cl_minus_ += length;
   if (delta != nullptr) *delta = DeltaOf(counts, length);
-
-  for (size_t pi = 0; pi < parts_.size(); ++pi) {
-    const std::vector<uint64_t>& ids = parts_[pi]->global_ids;
-    if (std::binary_search(ids.begin(), ids.end(), id)) {
-      ++part_tombstones_[pi];
-      break;
-    }
-  }
-  PublishLocked(std::make_shared<Snapshot>());
+  PublishLocked();
   return true;
 }
 
@@ -408,7 +437,7 @@ void LiveIndex::Merge() {
   // Build the packed run from the claimed parts' live documents —
   // outside every lock, so queries and mutations never stall on the
   // rebuild ("no stop-the-world").
-  std::shared_ptr<Part> run;
+  std::shared_ptr<const Part> run;
   {
     std::string segment_path;
     std::vector<std::pair<std::string, std::string>> bodies;
@@ -436,28 +465,24 @@ void LiveIndex::Merge() {
           // must never lose documents over an I/O error.
         }
       }
-      run = std::make_shared<Part>();
-      run->segment_path = std::move(segment_path);
-      run->fragments = std::make_shared<ir::FragmentedIndex>(
+      auto fragments = std::make_shared<const ir::FragmentedIndex>(
           index.get(), options_.num_fragments);
-      run->index = std::move(index);
-      run->global_ids = std::move(ids);
-      run->frozen = true;
+      run = std::make_shared<const Part>(
+          Part{std::move(index), std::move(fragments), std::move(ids),
+               /*frozen=*/true, std::move(segment_path)});
     }
   }
 
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Documents tombstoned at claim time were excluded from the run:
-    // they are gone physically, so their tombstones and statistics
-    // corrections are reversed. Documents deleted *during* the build
-    // are inside the run and keep their tombstones — still exact.
-    auto tomb = std::make_shared<std::unordered_set<uint64_t>>(*tombstones_);
+    // they are gone physically, so their statistics corrections are
+    // reversed. Documents deleted *during* the build are inside the run
+    // and leave its live set — still exact.
     auto minus = std::make_shared<std::unordered_map<std::string, int32_t>>(
         *df_minus_);
     for (const ClaimedDoc& d : cdocs) {
       if (d.alive) continue;
-      tomb->erase(d.id);
       int64_t length = 0;
       std::unordered_map<std::string, int32_t> counts = TermCounts(
           d.text, options_.node.stem, options_.node.stop, &length);
@@ -468,33 +493,23 @@ void LiveIndex::Merge() {
       cl_minus_ -= length;
     }
 
-    std::vector<std::shared_ptr<const Part>> new_parts;
-    std::vector<uint32_t> new_counts;
-    bool placed = false;
-    auto is_claimed = [&claimed](const std::shared_ptr<const Part>& p) {
-      return std::find(claimed.begin(), claimed.end(), p) != claimed.end();
-    };
-    for (size_t pi = 0; pi < parts_.size(); ++pi) {
-      if (is_claimed(parts_[pi])) {
-        if (!placed && run != nullptr) {
-          uint32_t dead = 0;
-          for (uint64_t id : run->global_ids) {
-            if (tomb->count(id) != 0) ++dead;
-          }
-          new_parts.push_back(run);
-          new_counts.push_back(dead);
-        }
-        placed = true;
-        continue;
-      }
-      new_parts.push_back(parts_[pi]);
-      new_counts.push_back(part_tombstones_[pi]);
+    // The claimed parts — the newest runs and every delta part of claim
+    // time — still sit together in parts_; the run takes their place.
+    const size_t at =
+        std::find_if(parts_.begin(), parts_.end(),
+                     [&claimed](const auto& p) {
+                       return std::find(claimed.begin(), claimed.end(), p) !=
+                              claimed.end();
+                     }) -
+        parts_.begin();
+    parts_.erase(parts_.begin() + at, parts_.begin() + at + claimed.size());
+    live_.erase(live_.begin() + at, live_.begin() + at + claimed.size());
+    if (run != nullptr) {
+      parts_.insert(parts_.begin() + at, run);
+      live_.insert(live_.begin() + at, LiveSetLocked(run->global_ids));
     }
-    parts_ = std::move(new_parts);
-    part_tombstones_ = std::move(new_counts);
-    tombstones_ = std::move(tomb);
     df_minus_ = std::move(minus);
-    PublishLocked(std::make_shared<Snapshot>());
+    PublishLocked();
     merges_.fetch_add(1, std::memory_order_relaxed);
   }
   // Folded runs are out of the published parts list. Readers pinned to
@@ -560,78 +575,34 @@ void LiveIndex::MergeLoop() {
 
 ir::ShardResult EvaluateLiveShardQuery(const LiveIndex::Snapshot& snapshot,
                                        const ir::ShardQuery& query) {
+  const auto evaluate = [&](size_t pi) {
+    const LiveIndex::Part& part = *snapshot.parts()[pi];
+    return ir::EvaluateShardQuery(*part.index, part.fragments.get(), query,
+                                  /*shared_theta=*/nullptr,
+                                  snapshot.part_live(pi));
+  };
+  const size_t parts = snapshot.parts().size();
+  if (parts == 1) return evaluate(0);
   Timer timer;
   ir::ShardResult result;
-  const std::vector<std::string>& stems = query.stems;
-  const ir::RankOptions& options = query.options;
-  result.stem_evaluated.assign(stems.size(), true);
-
-  struct Cand {
-    std::string url;
-    double score;
-  };
-  std::vector<Cand> cands;
-  const std::vector<std::shared_ptr<const LiveIndex::Part>>& parts =
-      snapshot.parts();
-  for (size_t pi = 0; pi < parts.size(); ++pi) {
-    const LiveIndex::Part& part = *parts[pi];
-    std::vector<ir::EvalTerm> terms;
-    terms.reserve(stems.size());
-    for (size_t i = 0; i < stems.size(); ++i) {
-      std::optional<ir::TermId> t = part.index->LookupTerm(stems[i]);
-      // Fragment cut-off applies to merged runs (delta parts are tiny
-      // and always evaluated exactly); a skipped stem counts against
-      // the a-priori quality estimate like on a frozen node.
-      if (t && part.fragments != nullptr &&
-          part.fragments->FragmentOf(*t) >= query.max_fragments) {
-        result.stem_evaluated[i] = false;
-        continue;
-      }
-      if (!t) continue;  // unknown in this part
-      if (query.stem_global_df[i] <= 0) continue;
-      terms.push_back(ir::EvalTerm{
-          &part.index->postings(*t),
-          ir::TermWeight(query.stem_global_df[i], query.collection_length,
-                         options),
-          query.stem_global_df[i]});
+  result.stem_evaluated.assign(query.stems.size(), true);
+  std::vector<ir::ShardResult> per_part;
+  per_part.reserve(parts);
+  for (size_t pi = 0; pi < parts; ++pi) {
+    ir::ShardResult r = evaluate(pi);
+    result.postings_touched += r.postings_touched;
+    result.blocks_skipped += r.blocks_skipped;
+    result.blocks_decoded += r.blocks_decoded;
+    result.pivot_iterations += r.pivot_iterations;
+    result.cursor_advances += r.cursor_advances;
+    for (size_t i = 0; i < r.stem_evaluated.size(); ++i) {
+      if (!r.stem_evaluated[i]) result.stem_evaluated[i] = false;
     }
-    if (terms.empty()) continue;
-    const ir::ErasedTieLess url_less{
-        [](const void* ctx, ir::DocId a, ir::DocId b) {
-          const ir::TextIndex& idx = *static_cast<const ir::TextIndex*>(ctx);
-          return idx.url(a) < idx.url(b);
-        },
-        part.index.get()};
-    // Over-fetch by the part's tombstone count so the post-filter
-    // top-n is exact (see LiveIndex::Snapshot::Query).
-    const uint32_t dead = snapshot.part_tombstones()[pi];
-    ir::RankStats rank_stats;
-    std::vector<ir::ScoredDoc> local = ir::EvaluateTopN(
-        std::move(terms), part.index->document_count(),
-        part.index->inv_doc_length_data(), part.index->max_inv_doc_length(),
-        query.n + dead, query.threshold, url_less, options, &rank_stats);
-    result.postings_touched += rank_stats.postings_touched;
-    result.blocks_skipped += rank_stats.blocks_skipped;
-    result.blocks_decoded += rank_stats.blocks_decoded;
-    result.pivot_iterations += rank_stats.pivot_iterations;
-    result.cursor_advances += rank_stats.cursor_advances;
-    size_t kept = 0;
-    for (const ir::ScoredDoc& d : local) {
-      if (snapshot.IsDeleted(part.global_ids[d.doc])) continue;
-      cands.push_back(Cand{part.index->url(d.doc), d.score});
-      if (++kept == query.n) break;
-    }
+    per_part.push_back(std::move(r));
   }
-
-  std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.url < b.url;
-  });
-  if (cands.size() > query.n) cands.resize(query.n);
-  result.top.reserve(cands.size());
-  for (Cand& c : cands) {
-    result.top.push_back(ir::ClusterScoredDoc{std::move(c.url), c.score});
-  }
+  // A url is live in at most one part, so the merge's node tie-break
+  // never decides between two live copies.
+  result.top = ir::MergeShardResults(&per_part, query.n);
   result.elapsed_us = timer.ElapsedSeconds() * 1e6;
   return result;
 }

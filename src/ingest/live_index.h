@@ -11,7 +11,6 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -34,8 +33,10 @@ namespace dls::ingest {
 /// `segment_dir` is set — and re-fragments it on descending idf
 /// (FragmentedIndex). Every kept run holds more than twice the
 /// documents of the next newer one, so a node holds O(log N) runs.
-/// Deletes never touch postings: a global tombstone set hides the
-/// document and the statistics it contributed.
+/// Deletes never touch postings: a delete clears the document's bit in
+/// a copy of its part's live set (a DocFilter) and hides the statistics
+/// it contributed. A frozen shard is a one-part snapshot with no live
+/// set and no writer (Snapshot::Frozen).
 ///
 /// Epoch pinning. Every mutation (Insert, Delete, a Merge swap)
 /// installs a brand-new immutable Snapshot under the next epoch;
@@ -61,10 +62,10 @@ namespace dls::ingest {
 ///     sort preserves the rebuild's tie order on any subset), and a
 ///     document lives wholly inside one part, so its contributions sum
 ///     in exactly the rebuild's order;
-///   - each part over-fetches its top (n + tombstones-in-part): at most
-///     that many tombstoned documents can precede a live one, so after
-///     filtering the part's true live top-n survives, for the pruning
-///     evaluators exactly as for the exhaustive scan;
+///   - each part ranks under its live set as the doc_filter, which
+///     every kernel and strategy evaluates bit-identically to
+///     exhaustive-then-filter (DocFilter): it returns exactly its live
+///     top n;
 ///   - parts merge on (score desc, global id asc), and global ids are
 ///     insertion order — the rebuild's doc-id order.
 struct LiveIndexOptions {
@@ -132,11 +133,14 @@ class LiveIndex {
   /// One immutable document tier: a frozen TextIndex (heap or
   /// mmap-backed), its fragmentation (merged runs only), and the
   /// global id of each local document (ascending — local order is
-  /// global order).
+  /// global order; empty on a frozen shard, whose ids are local).
   struct Part {
     std::shared_ptr<const ir::TextIndex> index;
     std::shared_ptr<const ir::FragmentedIndex> fragments;  // runs only
     std::vector<uint64_t> global_ids;
+    uint64_t global_id(ir::DocId local) const {
+      return global_ids.empty() ? local : global_ids[local];
+    }
     bool frozen = false;  ///< merged run (vs delta part)
     /// The run's segment file when it is served off mmap; Merge()
     /// unlinks it once a later merge folds the run away.
@@ -147,24 +151,32 @@ class LiveIndex {
   /// shared_ptr keeps every referenced part alive across merges.
   class Snapshot {
    public:
+    /// A frozen shard: one part, the flushed `index` with its
+    /// `fragments`, and the index's epoch and normalisation.
+    static std::shared_ptr<const Snapshot> Frozen(
+        std::shared_ptr<const ir::TextIndex> index,
+        std::shared_ptr<const ir::FragmentedIndex> fragments);
+
     uint64_t epoch() const { return epoch_; }
-    size_t live_docs() const { return total_docs_ - tombstones_->size(); }
+    bool stem() const { return stem_; }
+    bool stop() const { return stop_; }
+    size_t live_docs() const { return total_docs_ - tombstones_; }
     /// Documents physically present in the parts (live + tombstoned);
     /// merges drop tombstoned documents, so this can shrink.
     size_t total_docs() const { return total_docs_; }
-    size_t tombstone_count() const { return tombstones_->size(); }
+    size_t tombstone_count() const { return tombstones_; }
     /// Effective collection length: live documents only.
     int64_t collection_length() const;
     const std::vector<std::shared_ptr<const Part>>& parts() const {
       return parts_;
     }
+    /// parts()[i]'s live set, or null while none of it is deleted.
+    const ir::DocFilter* part_live(size_t i) const { return live_[i].get(); }
     /// Entry i: the tombstoned documents still physically present in
-    /// parts()[i]. Kept current by every mutation, so a query reads the
-    /// count instead of probing the tombstone set per document.
+    /// parts()[i] — its documents missing from part_live(i).
     const std::vector<uint32_t>& part_tombstones() const {
       return part_tombstones_;
     }
-    size_t delta_docs() const;
 
     /// Effective df of a stem: Σ over parts minus tombstoned holders.
     int32_t EffectiveDf(std::string_view stem) const;
@@ -172,6 +184,9 @@ class LiveIndex {
     /// handshake advertises. Stems whose live df dropped to 0 are
     /// omitted, exactly as a rebuild's vocabulary would omit them.
     std::unordered_map<std::string, int32_t> EffectiveDfTable() const;
+    /// The same table in a deterministic order, as a stats handshake
+    /// sends it: sorted, or a lone undeleted part's term-id order.
+    std::vector<std::pair<std::string, int32_t>> EffectiveDfList() const;
 
     /// Exact top-`n` over the live documents of this epoch, ordered by
     /// (score desc, global id asc) — bit-identical to a from-scratch
@@ -181,17 +196,16 @@ class LiveIndex {
                                      const ir::RankOptions& options = {},
                                      ir::RankStats* stats = nullptr) const;
 
-    /// True when `id` is hidden by a tombstone.
-    bool IsDeleted(uint64_t id) const {
-      return tombstones_->count(id) != 0;
-    }
+    /// True when `id`'s part still holds it, outside its live set.
+    bool IsDeleted(uint64_t id) const;
 
    private:
     friend class LiveIndex;
     std::vector<std::shared_ptr<const Part>> parts_;
-    /// Tombstoned documents of part i still physically present in it.
+    /// Beside parts_: each part's live set (null = all live).
+    std::vector<std::shared_ptr<const ir::DocFilter>> live_;
     std::vector<uint32_t> part_tombstones_;
-    std::shared_ptr<const std::unordered_set<uint64_t>> tombstones_;
+    size_t tombstones_ = 0;
     /// Per-stem df the tombstoned documents still contribute to the
     /// parts' stored statistics; subtracted to get effective df.
     std::shared_ptr<const std::unordered_map<std::string, int32_t>>
@@ -272,9 +286,14 @@ class LiveIndex {
   std::shared_ptr<ir::TextIndex> BuildPart(
       const std::vector<std::pair<std::string, std::string>>& docs) const;
 
-  /// Installs `snap` as the current snapshot under the next epoch.
+  /// The live set of a part holding `ids` (null if all are alive).
   /// Caller holds mu_.
-  void PublishLocked(std::shared_ptr<Snapshot> snap);
+  std::shared_ptr<const ir::DocFilter> LiveSetLocked(
+      const std::vector<uint64_t>& ids) const;
+
+  /// Publishes the writer's state as a new snapshot under the next
+  /// epoch. Caller holds mu_.
+  void PublishLocked();
 
   void MergeLoop();
 
@@ -293,15 +312,14 @@ class LiveIndex {
   /// Global ids of the active (unsealed) delta part, in order.
   std::vector<uint64_t> active_ids_;
   /// The writer's canonical view of the published state (mu_): the
-  /// parts in order, the per-part tombstone counts, and the shared
-  /// immutable tombstone/statistics structures the next snapshot will
-  /// reference. Mutations copy-on-write these, never edit in place.
+  /// parts in order, each part's live set, and the shared immutable
+  /// statistics structures the next snapshot will reference. Mutations
+  /// copy-on-write these, never edit in place.
   std::vector<std::shared_ptr<const Part>> parts_;
-  std::vector<uint32_t> part_tombstones_;
-  std::shared_ptr<const std::unordered_set<uint64_t>> tombstones_;
+  std::vector<std::shared_ptr<const ir::DocFilter>> live_;
   std::shared_ptr<const std::unordered_map<std::string, int32_t>> df_minus_;
   int64_t cl_minus_ = 0;
-  uint64_t epoch_ = 0;
+  uint64_t epoch_ = 0;  ///< the next snapshot's
   std::shared_ptr<const Part> active_part_;
 
   /// The published snapshot; readers load, mutators store under mu_.
@@ -322,12 +340,12 @@ class LiveIndex {
 };
 
 /// Evaluates a resolved cluster ShardQuery against an epoch-pinned
-/// snapshot: per-part evaluation with the query's *global* statistics,
-/// tombstone over-fetch and filtering, fragment cut-off on the merged
-/// runs, and a (score desc, url asc) merge — the exact contract of
-/// ir::EvaluateShardQuery against a from-scratch rebuild of the
-/// snapshot's live documents. Thread-safe; this is what a live
-/// ShardServer node runs per query frame.
+/// snapshot — the exact contract of ir::EvaluateShardQuery against a
+/// from-scratch rebuild of the snapshot's live documents: each part
+/// runs ir::EvaluateShardQuery under its live set, then one
+/// MergeShardResults (work counters summed, stem_evaluated masks
+/// ANDed). A one-part snapshot returns its part's result as it is.
+/// Thread-safe; every ShardServer node runs this per query.
 ir::ShardResult EvaluateLiveShardQuery(const LiveIndex::Snapshot& snapshot,
                                        const ir::ShardQuery& query);
 

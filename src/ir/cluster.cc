@@ -129,13 +129,15 @@ size_t ClusterIndex::bytes_mapped() const {
 }
 
 ShardResult EvaluateShardQuery(const TextIndex& index,
-                               const FragmentedIndex& fragments,
+                               const FragmentedIndex* fragments,
                                const ShardQuery& query,
-                               std::atomic<double>* shared_theta) {
+                               std::atomic<double>* shared_theta,
+                               const DocFilter* live) {
   Timer timer;
   ShardResult result;
   const std::vector<std::string>& stems = query.stems;
-  const RankOptions& options = query.options;
+  RankOptions options = query.options;
+  if (live != nullptr) options.doc_filter = live;
 
   // Resolve the pushed stems against the node-local vocabulary and drop
   // terms behind the fragment cut-off. Scoring uses *global* term
@@ -150,7 +152,8 @@ ShardResult EvaluateShardQuery(const TextIndex& index,
   result.stem_evaluated.assign(stems.size(), true);
   for (size_t i = 0; i < stems.size(); ++i) {
     std::optional<TermId> term = index.LookupTerm(stems[i]);
-    if (term && fragments.FragmentOf(*term) >= query.max_fragments) {
+    if (term && fragments != nullptr &&
+        fragments->FragmentOf(*term) >= query.max_fragments) {
       result.stem_evaluated[i] = false;
       continue;
     }
@@ -424,26 +427,21 @@ std::vector<std::vector<ClusterScoredDoc>> ClusterIndex::QueryBatch(
         queries[q], norm.stem, norm.stop,
         [this](std::string_view stem) { return global_df(stem); }, &batch[q]);
   }
-  // Node i evaluates in-process, with its own bitmap stamped in (doc
-  // ids are node-local). No frames are shipped, so messages and
-  // bytes_shipped stay 0.
+  // Node i evaluates in-process under its own bitmap (doc ids are
+  // node-local). No frames are shipped, so messages and bytes_shipped
+  // stay 0.
   const ShardCall call = [&](size_t i, const std::vector<ShardQuery>& b,
                              std::atomic<double>* thetas,
                              std::vector<ShardResult>* results,
                              ClusterQueryStats*) {
     const Node& node = nodes_[i];
+    const DocFilter* candidates =
+        filter == nullptr ? nullptr : &filter->per_node[i];
     results->resize(b.size());
     for (size_t q = 0; q < b.size(); ++q) {
       std::atomic<double>* theta = thetas == nullptr ? nullptr : &thetas[q];
-      if (filter == nullptr) {
-        (*results)[q] =
-            EvaluateShardQuery(*node.index, *node.fragments, b[q], theta);
-        continue;
-      }
-      ShardQuery filtered = b[q];
-      filtered.options.doc_filter = &filter->per_node[i];
-      (*results)[q] =
-          EvaluateShardQuery(*node.index, *node.fragments, filtered, theta);
+      (*results)[q] = EvaluateShardQuery(*node.index, node.fragments.get(),
+                                         b[q], theta, candidates);
     }
     return true;
   };

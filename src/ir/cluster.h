@@ -68,20 +68,33 @@ struct ShardResult {
   double elapsed_us = 0;
 };
 
-/// Evaluates a resolved ShardQuery against one node's frozen index and
-/// fragmentation. Thread-safe for concurrent calls (touches only
-/// frozen state). Shared by ClusterIndex's in-process fan-out and by
-/// net/ShardServer — bit-identity of the two paths reduces to both
-/// calling this with identical inputs.
+/// Evaluates a resolved ShardQuery against one frozen index part — the
+/// only per-part evaluator, run per node by ClusterIndex and per part
+/// of a ShardServer node's snapshot (ingest::EvaluateLiveShardQuery),
+/// so bit-identity of the paths reduces to identical inputs.
+/// Thread-safe (touches only frozen state). `fragments` is null for a
+/// live node's delta part, which has no cut-off.
 ///
 /// `shared_theta` is the live threshold-feedback channel of
 /// RankOptions::shared_threshold: when non-null and the query prunes,
 /// the WAND evaluation reads the cluster-wide θ every iteration and
 /// publishes its own running n-th best into it (monotone max).
+///
+/// `live`, when non-null, replaces the query's doc_filter: a node's
+/// candidate bitmap (ClusterIndex) or a live part's live set. The part
+/// then returns exactly its top n among those documents.
 ShardResult EvaluateShardQuery(const TextIndex& index,
-                               const FragmentedIndex& fragments,
+                               const FragmentedIndex* fragments,
                                const ShardQuery& query,
-                               std::atomic<double>* shared_theta = nullptr);
+                               std::atomic<double>* shared_theta = nullptr,
+                               const DocFilter* live = nullptr);
+
+/// As above, for a frozen node's fragmentation held by reference.
+inline ShardResult EvaluateShardQuery(const TextIndex& index,
+                                      const FragmentedIndex& fragments,
+                                      const ShardQuery& query) {
+  return EvaluateShardQuery(index, &fragments, query);
+}
 
 /// Bounded k-way merge of per-node top lists (each sorted by score
 /// desc, url asc) into the global top `n`, with the node's position in

@@ -12,34 +12,40 @@ constexpr uint8_t kTfEscape = 0xff;
 
 void PackedPostingBlocks::Encode(const uint32_t* docs, const int32_t* tfs,
                                  size_t count, size_t block_size) {
-  assert(block_size > 0);
   Clear();
-  count_ = count;
-  block_size_ = block_size;
-  doc_bytes_.reserve(count + count / 4);  // mostly 1-byte deltas
-  tf_bytes_.reserve(count);
-  blocks_.reserve((count + block_size - 1) / block_size);
+  Extend(docs, tfs, count, block_size);
+}
 
-  for (size_t begin = 0; begin < count; begin += block_size) {
-    const size_t end = begin + block_size < count ? begin + block_size : count;
-    blocks_.push_back(BlockOffsets{static_cast<uint32_t>(doc_bytes_.size()),
-                                   static_cast<uint32_t>(tf_bytes_.size())});
-    // First doc id absolute, the rest as gaps to the predecessor.
-    AppendVarint(docs[begin], &doc_bytes_);
-    for (size_t i = begin + 1; i < end; ++i) {
+void PackedPostingBlocks::Extend(const uint32_t* docs, const int32_t* tfs,
+                                 size_t count, size_t block_size) {
+  assert(block_size > 0);
+  assert(!borrowed() && "a borrowed encoding is read-only");
+  assert((count_ == 0 || block_size_ == block_size) && count >= count_);
+  // The last block ends both streams, so new postings only append.
+  const size_t added = count - count_;
+  doc_bytes_.reserve(doc_bytes_.size() + added + added / 4);  // ~1-byte gaps
+  tf_bytes_.reserve(tf_bytes_.size() + added);
+  blocks_.reserve((count + block_size - 1) / block_size);
+  for (size_t i = count_; i < count; ++i) {
+    if (i % block_size == 0) {
+      // A block's first doc id is absolute.
+      blocks_.push_back(BlockOffsets{static_cast<uint32_t>(doc_bytes_.size()),
+                                     static_cast<uint32_t>(tf_bytes_.size())});
+      AppendVarint(docs[i], &doc_bytes_);
+    } else {
       assert(docs[i] >= docs[i - 1] && "doc ids must be ascending");
       AppendVarint(docs[i] - docs[i - 1], &doc_bytes_);
     }
-    for (size_t i = begin; i < end; ++i) {
-      const uint32_t tf = static_cast<uint32_t>(tfs[i]);
-      if (tf < kTfEscape) {
-        tf_bytes_.push_back(static_cast<uint8_t>(tf));
-      } else {
-        tf_bytes_.push_back(kTfEscape);
-        AppendVarint(tf - kTfEscape, &tf_bytes_);
-      }
+    const uint32_t tf = static_cast<uint32_t>(tfs[i]);
+    if (tf < kTfEscape) {
+      tf_bytes_.push_back(static_cast<uint8_t>(tf));
+    } else {
+      tf_bytes_.push_back(kTfEscape);
+      AppendVarint(tf - kTfEscape, &tf_bytes_);
     }
   }
+  count_ = count;
+  block_size_ = block_size;
 }
 
 size_t PackedPostingBlocks::DecodeBlock(size_t block, uint32_t* docs,

@@ -92,6 +92,11 @@ class PackedPostingBlocks {
   void Encode(const uint32_t* docs, const int32_t* tfs, size_t count,
               size_t block_size);
 
+  /// Appends postings [size(), count) to this owned encoding of the
+  /// first size(): the bytes Encode() of all `count` would write.
+  void Extend(const uint32_t* docs, const int32_t* tfs, size_t count,
+              size_t block_size);
+
   /// Points this object at an existing encoding owned elsewhere.
   /// Replaces the previous encoding without copying a byte. The caller
   /// guarantees the pointed-to storage outlives this object and that

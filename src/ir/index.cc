@@ -99,12 +99,17 @@ DocId TextIndex::AddDocument(std::string_view url, std::string_view text) {
 void TextIndex::Flush() {
   if (pending_.empty()) return;
   mutation_epoch_.fetch_add(1, std::memory_order_release);
+  // Every list is packed between flushes, so a list still packed when
+  // the batch reaches it is one this flush has not appended to yet.
+  std::vector<TermId> appended;
   size_t begin = 0;
   for (const PendingDoc& doc : pending_) {
     int64_t len = 0;
     for (size_t i = begin; i < doc.counts_end; ++i) {
       const auto [term, tf] = pending_counts_[i];
-      postings_[term].Append(doc.doc, tf);
+      PostingList& list = postings_[term];
+      if (list.is_packed()) appended.push_back(term);
+      list.Append(doc.doc, tf);
       ++df_[term];
       len += tf;
     }
@@ -123,13 +128,13 @@ void TextIndex::Flush() {
   std::vector<PendingDoc>().swap(pending_);
   std::vector<std::pair<TermId, int32_t>>().swap(pending_counts_);
   token_terms_.Release();
-  // Re-pack the lists this flush appended to (Pack() is a size-check
-  // no-op on untouched ones, FinalizeBlockBounds only keys blocks the
-  // flush grew), so a frozen index is always packed and always carries
-  // the block-max score keys the pruning evaluators skip with.
-  for (PostingList& list : postings_) {
-    list.Pack();
-    list.FinalizeBlockBounds(inv_doc_lengths_.data());
+  // Pack the postings this flush appended (Pack() encodes only those,
+  // FinalizeBlockBounds only keys blocks the flush grew), so a frozen
+  // index is always packed and always carries the block-max score keys
+  // the pruning evaluators skip with.
+  for (TermId term : appended) {
+    postings_[term].Pack();
+    postings_[term].FinalizeBlockBounds(inv_doc_lengths_.data());
   }
 }
 

@@ -119,13 +119,22 @@ struct RankStats;
 /// postings, every strategy still sums its contributions in the
 /// canonical order, and the pruning thresholds are fed only from
 /// filtered documents, so they stay lower bounds of the filtered n-th
-/// best.
+/// best. A live node's part holds its live set in the same form
+/// (ingest::LiveIndex): a delete clears the document's bit.
 class DocFilter {
  public:
   DocFilter() = default;
   /// An empty bitmap over documents [0, num_docs).
   explicit DocFilter(size_t num_docs)
       : num_docs_(num_docs), words_((num_docs + 63) / 64, 0) {}
+
+  /// A bitmap holding every document of [0, num_docs).
+  static DocFilter All(size_t num_docs) {
+    DocFilter all(num_docs);
+    all.words_.assign(all.words_.size(), ~uint64_t{0});
+    all.count_ = num_docs;
+    return all;
+  }
 
   /// Sets `doc`'s bit. Ids outside [0, num_docs) are ignored, matching
   /// Contains(): a federated snapshot can hold DocRefs to documents a
@@ -140,12 +149,19 @@ class DocFilter {
     word |= bit;
   }
 
+  /// Clears `doc`'s bit; ids outside [0, num_docs) are ignored.
+  void Clear(DocId doc) {
+    if (!Contains(doc)) return;
+    words_[doc >> 6] &= ~(uint64_t{1} << (doc & 63));
+    --count_;
+  }
+
   bool Contains(DocId doc) const {
     return doc < num_docs_ && ((words_[doc >> 6] >> (doc & 63)) & 1) != 0;
   }
 
   size_t num_docs() const { return num_docs_; }
-  /// Number of distinct documents Set().
+  /// Number of documents in the filter.
   size_t count() const { return count_; }
 
  private:

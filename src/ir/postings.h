@@ -167,13 +167,13 @@ class PostingList {
     return std::min(size(), (b + 1) * kPostingBlockSize);
   }
 
-  /// (Re)builds the packed delta/varint encoding of the current
-  /// contents. No-op when already current (the list is append-only, so
-  /// matching sizes imply matching contents). TextIndex::Flush() packs
-  /// every touched list, keeping frozen indexes packed by default.
+  /// Encodes the postings appended since the last Pack() onto the
+  /// packed delta/varint encoding (the list is append-only, so the
+  /// bytes equal a from-scratch encoding). TextIndex::Flush() packs
+  /// every list it appended to, keeping frozen indexes packed.
   void Pack() {
     if (released_ || packed_.size() == docs_.size()) return;
-    packed_.Encode(docs_.data(), tfs_.data(), docs_.size(),
+    packed_.Extend(docs_.data(), tfs_.data(), docs_.size(),
                    kPostingBlockSize);
   }
 

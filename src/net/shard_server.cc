@@ -1,7 +1,5 @@
 #include "net/shard_server.h"
 
-#include <algorithm>
-
 #include "common/strings.h"
 #include "ir/fragments.h"
 #include "ir/index.h"
@@ -15,28 +13,43 @@ ShardServer::~ShardServer() { Stop(); }
 
 uint32_t ShardServer::AddNode(const ir::TextIndex* index,
                               const ir::FragmentedIndex* fragments) {
-  nodes_.push_back(Node{index, fragments});
+  // Aliasing shared_ptrs with no owner: the caller keeps both alive.
+  nodes_.push_back(Node{ingest::LiveIndex::Snapshot::Frozen(
+      std::shared_ptr<const ir::TextIndex>(
+          std::shared_ptr<const ir::TextIndex>(), index),
+      std::shared_ptr<const ir::FragmentedIndex>(
+          std::shared_ptr<const ir::FragmentedIndex>(), fragments))});
   return static_cast<uint32_t>(nodes_.size() - 1);
 }
 
 Result<uint32_t> ShardServer::AddNodeFromSegment(
     const std::string& path, size_t num_fragments,
     const ir::SegmentLoadOptions& load_options) {
-  DLS_ASSIGN_OR_RETURN(std::unique_ptr<ir::TextIndex> index,
+  DLS_ASSIGN_OR_RETURN(std::unique_ptr<ir::TextIndex> loaded,
                        ir::TextIndex::LoadFromSegment(path, load_options));
+  std::shared_ptr<const ir::TextIndex> index = std::move(loaded);
   auto fragments =
-      std::make_unique<ir::FragmentedIndex>(index.get(), num_fragments);
-  const uint32_t id = AddNode(index.get(), fragments.get());
-  owned_indexes_.push_back(std::move(index));
-  owned_fragments_.push_back(std::move(fragments));
-  return id;
+      std::make_shared<const ir::FragmentedIndex>(index.get(), num_fragments);
+  nodes_.push_back(Node{ingest::LiveIndex::Snapshot::Frozen(
+      std::move(index), std::move(fragments))});
+  return static_cast<uint32_t>(nodes_.size() - 1);
 }
 
 uint32_t ShardServer::AddLiveNode(ingest::LiveIndex* live) {
-  Node node{nullptr, nullptr};
-  node.live = live;
-  nodes_.push_back(std::move(node));
+  nodes_.push_back(Node{nullptr, live});
   return static_cast<uint32_t>(nodes_.size() - 1);
+}
+
+Result<const ShardServer::Node*> ShardServer::NodeFor(uint32_t id,
+                                                      bool mutation) const {
+  if (id >= nodes_.size()) {
+    return Status::NotFound(StrFormat("no node %u on this server", id));
+  }
+  if (mutation && nodes_[id].live == nullptr) {
+    return Status::Unsupported(
+        StrFormat("node %u is frozen; mutations need a live node", id));
+  }
+  return &nodes_[id];
 }
 
 Result<std::vector<uint8_t>> ShardServer::HandleFrame(
@@ -52,24 +65,19 @@ Result<std::vector<uint8_t>> ShardServer::HandleFrame(
       Result<QueryRequest> request = DecodeQueryRequest(body, body_len);
       if (!request.ok()) return EncodeError(request.status());
       const QueryRequest& req = request.value();
-      if (req.node_id >= nodes_.size()) {
-        return EncodeError(Status::NotFound(
-            StrFormat("no node %u on this server", req.node_id)));
-      }
-      const Node& node = nodes_[req.node_id];
+      Result<const Node*> found = NodeFor(req.node_id, /*mutation=*/false);
+      if (!found.ok()) return EncodeError(found.status());
+      const Node& node = *found.value();
       QueryResponse response;
       response.node_id = req.node_id;
       response.results.reserve(req.queries.size());
-      // A live node pins one snapshot for the whole batch, so every
-      // rider sees the same epoch.
-      std::shared_ptr<const ingest::LiveIndex::Snapshot> snapshot;
-      if (node.live != nullptr) snapshot = node.live->Pin();
+      // One snapshot answers the whole batch, so every rider sees the
+      // same epoch.
+      const std::shared_ptr<const ingest::LiveIndex::Snapshot> snapshot =
+          node.Pin();
       for (const ir::ShardQuery& query : req.queries) {
         response.results.push_back(
-            snapshot != nullptr
-                ? ingest::EvaluateLiveShardQuery(*snapshot, query)
-                : ir::EvaluateShardQuery(*node.index, *node.fragments,
-                                         query));
+            ingest::EvaluateLiveShardQuery(*snapshot, query));
         const ir::ShardResult& r = response.results.back();
         node.work->postings_touched.fetch_add(r.postings_touched,
                                               std::memory_order_relaxed);
@@ -89,43 +97,22 @@ Result<std::vector<uint8_t>> ShardServer::HandleFrame(
     case MessageType::kStatsRequest: {
       Result<StatsRequest> request = DecodeStatsRequest(body, body_len);
       if (!request.ok()) return EncodeError(request.status());
-      if (request.value().node_id >= nodes_.size()) {
-        return EncodeError(Status::NotFound(
-            StrFormat("no node %u on this server", request.value().node_id)));
-      }
-      const Node& node = nodes_[request.value().node_id];
+      Result<const Node*> found =
+          NodeFor(request.value().node_id, /*mutation=*/false);
+      if (!found.ok()) return EncodeError(found.status());
+      const Node& node = *found.value();
       StatsResponse response;
       response.node_id = request.value().node_id;
-      if (node.live != nullptr) {
-        // One pinned snapshot answers the whole handshake, so document
-        // count, collection length, epoch and the df table are all
-        // consistent at one epoch even while mutations land.
-        std::shared_ptr<const ingest::LiveIndex::Snapshot> snapshot =
-            node.live->Pin();
-        response.stem = node.live->options().node.stem;
-        response.stop = node.live->options().node.stop;
-        response.collection_length = snapshot->collection_length();
-        response.document_count = snapshot->live_docs();
-        response.mutation_epoch = snapshot->epoch();
-        std::unordered_map<std::string, int32_t> dfs =
-            snapshot->EffectiveDfTable();
-        response.term_dfs.reserve(dfs.size());
-        for (auto& [term, df] : dfs) {
-          response.term_dfs.emplace_back(term, df);
-        }
-        // The client only sums dfs, but a deterministic frame makes
-        // byte-level accounting reproducible across runs.
-        std::sort(response.term_dfs.begin(), response.term_dfs.end());
-        Result<std::vector<uint8_t>> encoded = EncodeStatsResponse(response);
-        if (!encoded.ok()) return EncodeError(encoded.status());
-        return encoded;
-      }
-      const ir::TextIndex& index = *node.index;
-      response.stem = index.options().stem;
-      response.stop = index.options().stop;
-      response.collection_length = index.collection_length();
-      response.document_count = index.flushed_document_count();
-      response.mutation_epoch = index.mutation_epoch();
+      // One snapshot answers the whole handshake, so document count,
+      // collection length, epoch and the df table are all consistent at
+      // one epoch even while mutations land.
+      const std::shared_ptr<const ingest::LiveIndex::Snapshot> snapshot =
+          node.Pin();
+      response.stem = snapshot->stem();
+      response.stop = snapshot->stop();
+      response.collection_length = snapshot->collection_length();
+      response.document_count = snapshot->live_docs();
+      response.mutation_epoch = snapshot->epoch();
       const Node::WorkCounters& work = *node.work;
       response.postings_touched =
           work.postings_touched.load(std::memory_order_relaxed);
@@ -137,10 +124,7 @@ Result<std::vector<uint8_t>> ShardServer::HandleFrame(
           work.pivot_iterations.load(std::memory_order_relaxed);
       response.cursor_advances =
           work.cursor_advances.load(std::memory_order_relaxed);
-      response.term_dfs.reserve(index.vocabulary_size());
-      for (ir::TermId t = 0; t < index.vocabulary_size(); ++t) {
-        response.term_dfs.emplace_back(index.term(t), index.df(t));
-      }
+      response.term_dfs = snapshot->EffectiveDfList();
       // A vocabulary too large for one frame is a clear protocol-level
       // error (the encoder names the cap), not "corruption" at the
       // client.
@@ -152,16 +136,9 @@ Result<std::vector<uint8_t>> ShardServer::HandleFrame(
       Result<InsertRequest> request = DecodeInsertRequest(body, body_len);
       if (!request.ok()) return EncodeError(request.status());
       const InsertRequest& req = request.value();
-      if (req.node_id >= nodes_.size()) {
-        return EncodeError(Status::NotFound(
-            StrFormat("no node %u on this server", req.node_id)));
-      }
-      ingest::LiveIndex* live = nodes_[req.node_id].live;
-      if (live == nullptr) {
-        return EncodeError(Status::Unsupported(
-            StrFormat("node %u is frozen; mutations need a live node",
-                      req.node_id)));
-      }
+      Result<const Node*> found = NodeFor(req.node_id, /*mutation=*/true);
+      if (!found.ok()) return EncodeError(found.status());
+      ingest::LiveIndex* live = found.value()->live;
       InsertResponse response;
       Result<uint64_t> id = live->Insert(req.url, req.text, &response.delta);
       if (!id.ok()) return EncodeError(id.status());
@@ -176,16 +153,9 @@ Result<std::vector<uint8_t>> ShardServer::HandleFrame(
       Result<DeleteRequest> request = DecodeDeleteRequest(body, body_len);
       if (!request.ok()) return EncodeError(request.status());
       const DeleteRequest& req = request.value();
-      if (req.node_id >= nodes_.size()) {
-        return EncodeError(Status::NotFound(
-            StrFormat("no node %u on this server", req.node_id)));
-      }
-      ingest::LiveIndex* live = nodes_[req.node_id].live;
-      if (live == nullptr) {
-        return EncodeError(Status::Unsupported(
-            StrFormat("node %u is frozen; mutations need a live node",
-                      req.node_id)));
-      }
+      Result<const Node*> found = NodeFor(req.node_id, /*mutation=*/true);
+      if (!found.ok()) return EncodeError(found.status());
+      ingest::LiveIndex* live = found.value()->live;
       DeleteResponse response;
       response.node_id = req.node_id;
       response.found = live->Delete(req.url, &response.delta);
@@ -198,16 +168,9 @@ Result<std::vector<uint8_t>> ShardServer::HandleFrame(
       Result<MergeRequest> request = DecodeMergeRequest(body, body_len);
       if (!request.ok()) return EncodeError(request.status());
       const MergeRequest& req = request.value();
-      if (req.node_id >= nodes_.size()) {
-        return EncodeError(Status::NotFound(
-            StrFormat("no node %u on this server", req.node_id)));
-      }
-      ingest::LiveIndex* live = nodes_[req.node_id].live;
-      if (live == nullptr) {
-        return EncodeError(Status::Unsupported(
-            StrFormat("node %u is frozen; mutations need a live node",
-                      req.node_id)));
-      }
+      Result<const Node*> found = NodeFor(req.node_id, /*mutation=*/true);
+      if (!found.ok()) return EncodeError(found.status());
+      ingest::LiveIndex* live = found.value()->live;
       live->Merge();
       MergeResponse response;
       response.node_id = req.node_id;

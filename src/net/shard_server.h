@@ -14,25 +14,24 @@
 
 namespace dls::net {
 
-/// Hosts one or more frozen index nodes behind the shard RPC protocol.
+/// Hosts one or more index nodes behind the shard RPC protocol.
 ///
 /// A ShardServer is the process side of the paper's shared-nothing
-/// fan-out: each hosted node is a (TextIndex, FragmentedIndex) pair —
-/// non-owning; the caller keeps them alive and frozen — addressed by
-/// its position in AddNode() order, which must match the node_id the
-/// client's shard list uses.
-///
-/// A node may instead be *live* (AddLiveNode): an ingest::LiveIndex
-/// that additionally accepts the mutation frames (Insert/Delete/Merge)
-/// and answers queries and the stats handshake from an epoch-pinned
-/// snapshot — document counts, collection length, the df table and the
-/// advertised mutation_epoch all come from one consistent epoch.
+/// fan-out. Each hosted node, addressed by its position in Add*Node()
+/// order (which must match the node_id the client's shard list uses),
+/// answers from an ingest::LiveIndex::Snapshot: a frozen node
+/// (AddNode, AddNodeFromSegment) from the one-part snapshot built when
+/// it was added, a live node (AddLiveNode) from its LiveIndex's current
+/// one — and only a live node accepts the mutation frames
+/// (Insert/Delete/Merge). A query runs ingest::EvaluateLiveShardQuery;
+/// the stats handshake reads one snapshot, so document count,
+/// collection length, the df table and the epoch are consistent.
 ///
 /// The transport mechanics (listen/accept/worker pool, frame framing,
 /// Error-frame failure semantics) live in the shared FrameServer base;
 /// this class supplies only the protocol: QueryRequest evaluation over
 /// the hosted nodes and the StatsRequest handshake. HandleFrame() is
-/// thread-safe — frozen nodes are read-only, and a LiveIndex is
+/// thread-safe — snapshots are immutable, and a LiveIndex is
 /// internally synchronised (lock-free pinned reads, serialised
 /// mutations).
 class ShardServer : public FrameServer {
@@ -68,12 +67,12 @@ class ShardServer : public FrameServer {
 
  private:
   struct Node {
-    const ir::TextIndex* index;
-    const ir::FragmentedIndex* fragments;
-    /// Non-null for live nodes; index/fragments are then null. The
-    /// pointer is to a mutable LiveIndex even though HandleFrame is
-    /// const — the LiveIndex is internally synchronised and mutation
-    /// frames are part of its protocol, not the server's state.
+    /// A frozen node's snapshot, built once; null for live nodes.
+    std::shared_ptr<const ingest::LiveIndex::Snapshot> frozen;
+    /// Non-null for live nodes. The pointer is to a mutable LiveIndex
+    /// even though HandleFrame is const — the LiveIndex is internally
+    /// synchronised and mutation frames are part of its protocol, not
+    /// the server's state.
     ingest::LiveIndex* live = nullptr;
     /// Cumulative per-node evaluation work (ir::RankStats summed over
     /// every served query) — reported in StatsResponse so remote work
@@ -90,14 +89,18 @@ class ShardServer : public FrameServer {
     /// unique_ptr so Node stays movable (vector growth).
     std::unique_ptr<WorkCounters> work =
         std::make_unique<WorkCounters>();
+
+    /// A live node's current snapshot, or a frozen node's own.
+    std::shared_ptr<const ingest::LiveIndex::Snapshot> Pin() const {
+      return live != nullptr ? live->Pin() : frozen;
+    }
   };
 
+  /// The node `id` names (kNotFound if none); a mutation also needs it
+  /// to be live (kUnsupported).
+  Result<const Node*> NodeFor(uint32_t id, bool mutation) const;
+
   std::vector<Node> nodes_;
-  /// Storage behind AddNodeFromSegment nodes (AddNode nodes stay
-  /// caller-owned). Never shrinks while the server lives, so the raw
-  /// pointers in nodes_ stay valid.
-  std::vector<std::unique_ptr<ir::TextIndex>> owned_indexes_;
-  std::vector<std::unique_ptr<ir::FragmentedIndex>> owned_fragments_;
 };
 
 }  // namespace dls::net

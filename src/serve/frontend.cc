@@ -133,7 +133,7 @@ SearchResult Frontend::Search(const SearchQuery& query) {
     canonical = federate::ToString(parsed.value());
     // '\x02' cannot appear in a normalised stem, so the pseudo-stem
     // keeps federated keys disjoint from every word-query key.
-    stems.push_back("\x02federated");
+    stems.push_back("\x02" "federated");
     stems.push_back(canonical);
   } else {
     stems = ir::NormalizeQuery(query.words, backend_->NormStem(),
