@@ -1,5 +1,5 @@
 // Scoring-kernel benchmark: the block-structured SoA kernel, the WAND
-// pruned evaluation and the hybrid TAAT/DAAT planner against the PR-1
+// pruned evaluation and the auto planner against the PR-1
 // accumulator path, measured end to end on the E4-style workload
 // (TextIndex::RankTopN over a Zipf corpus).
 //
@@ -18,10 +18,8 @@
 //   block_prune     — block layout + forced WAND top-N pruning (exact:
 //                     galloping cursors, keyed block bounds, batched
 //                     run scoring).
-//   hybrid          — forced hybrid TAAT/DAAT: dense terms scored TAAT
-//                     to seed θ, rare tail DAAT against it.
 //   auto            — RankStrategy::kAuto: the per-query cost model
-//                     picks TAAT / WAND / hybrid. This is the gated
+//                     picks TAAT or WAND. This is the gated
 //                     variant: ci/bench_gate.py requires
 //                     speedups.prune_vs_block >= 1.0 (pruning must win
 //                     wall-clock against the exhaustive block scan,
@@ -308,7 +306,6 @@ int main(int argc, char** argv) {
   ir::RankOptions block;
   block.kernel = ir::ScoreKernel::kBlock;
   const ir::RankOptions wand = StrategyOptions(ir::RankStrategy::kWand);
-  const ir::RankOptions hybrid = StrategyOptions(ir::RankStrategy::kHybrid);
   const ir::RankOptions autop = StrategyOptions(ir::RankStrategy::kAuto);
 
   std::printf(
@@ -327,7 +324,7 @@ int main(int argc, char** argv) {
     std::vector<ir::ScoredDoc> s = index.RankTopN(q, kTopN, scalar);
     std::vector<ir::ScoredDoc> b = index.RankTopN(q, kTopN, block);
     if (!SameDocs(s, b, /*check_scores=*/true)) block_exact = false;
-    for (const ir::RankOptions* options : {&wand, &hybrid, &autop}) {
+    for (const ir::RankOptions* options : {&wand, &autop}) {
       if (!SameDocs(b, index.RankTopN(q, kTopN, *options),
                     /*check_scores=*/true)) {
         prune_exact = false;
@@ -350,9 +347,6 @@ int main(int argc, char** argv) {
   double wand_ms = MeasureBatchMs(queries, [&](const auto& q) {
     index.RankTopN(q, kTopN, wand);
   });
-  double hybrid_ms = MeasureBatchMs(queries, [&](const auto& q) {
-    index.RankTopN(q, kTopN, hybrid);
-  });
   double auto_ms = MeasureBatchMs(queries, [&](const auto& q) {
     index.RankTopN(q, kTopN, autop);
   });
@@ -367,7 +361,6 @@ int main(int argc, char** argv) {
       {"scalar", scalar_ms, "ref"},
       {"block", block_ms, block_exact ? "bits" : "NO"},
       {"block_prune", wand_ms, prune_exact ? "bits" : "NO"},
-      {"hybrid", hybrid_ms, prune_exact ? "bits" : "NO"},
       {"auto", auto_ms, prune_exact ? "bits" : "NO"},
   };
   std::printf("%-16s %-10s %-12s %-10s %-8s\n", "variant", "batch_ms",
@@ -381,14 +374,12 @@ int main(int argc, char** argv) {
   // Work accounting per strategy on the default mix.
   const ir::RankStats taat_stats = BatchStats(index, queries, block);
   const ir::RankStats wand_stats = BatchStats(index, queries, wand);
-  const ir::RankStats hybrid_stats = BatchStats(index, queries, hybrid);
   const ir::RankStats auto_stats = BatchStats(index, queries, autop);
   std::printf("\n%-12s %-10s %-12s %-10s %-10s %-10s %-10s\n", "strategy",
               "batch_ms", "postings", "skipped", "decoded", "pivots",
               "advances");
   PrintStatsRow("taat", block_ms, taat_stats);
   PrintStatsRow("wand", wand_ms, wand_stats);
-  PrintStatsRow("hybrid", hybrid_ms, hybrid_stats);
   PrintStatsRow("auto", auto_ms, auto_stats);
 
   // Skewed mixes probe the planner's extremes: all-dense (TAAT
@@ -397,8 +388,8 @@ int main(int argc, char** argv) {
   struct Mix {
     const char* name;
     std::vector<std::vector<std::string>> queries;
-    double block_ms = 0, wand_ms = 0, hybrid_ms = 0, auto_ms = 0;
-    ir::RankStats wand_stats, hybrid_stats, auto_stats;
+    double block_ms = 0, wand_ms = 0, auto_ms = 0;
+    ir::RankStats wand_stats{}, auto_stats{};
   };
   std::vector<Mix> mixes;
   if (!buckets.dense.empty()) {
@@ -428,7 +419,7 @@ int main(int argc, char** argv) {
   for (Mix& mix : mixes) {
     for (const auto& q : mix.queries) {
       std::vector<ir::ScoredDoc> b = index.RankTopN(q, kTopN, block);
-      for (const ir::RankOptions* options : {&wand, &hybrid, &autop}) {
+      for (const ir::RankOptions* options : {&wand, &autop}) {
         if (!SameDocs(b, index.RankTopN(q, kTopN, *options),
                       /*check_scores=*/true)) {
           prune_exact = false;
@@ -441,14 +432,10 @@ int main(int argc, char** argv) {
     mix.wand_ms = MeasureBatchMs(mix.queries, [&](const auto& q) {
       index.RankTopN(q, kTopN, wand);
     });
-    mix.hybrid_ms = MeasureBatchMs(mix.queries, [&](const auto& q) {
-      index.RankTopN(q, kTopN, hybrid);
-    });
     mix.auto_ms = MeasureBatchMs(mix.queries, [&](const auto& q) {
       index.RankTopN(q, kTopN, autop);
     });
     mix.wand_stats = BatchStats(index, mix.queries, wand);
-    mix.hybrid_stats = BatchStats(index, mix.queries, hybrid);
     mix.auto_stats = BatchStats(index, mix.queries, autop);
 
     std::printf("\nmix %s (%zu queries):\n", mix.name, mix.queries.size());
@@ -458,7 +445,6 @@ int main(int argc, char** argv) {
     ir::RankStats block_mix_stats = BatchStats(index, mix.queries, block);
     PrintStatsRow("taat", mix.block_ms, block_mix_stats);
     PrintStatsRow("wand", mix.wand_ms, mix.wand_stats);
-    PrintStatsRow("hybrid", mix.hybrid_ms, mix.hybrid_stats);
     PrintStatsRow("auto", mix.auto_ms, mix.auto_stats);
   }
 
@@ -519,7 +505,6 @@ int main(int argc, char** argv) {
       "    \"scalar_batch_ms\": %.3f,\n"
       "    \"block_batch_ms\": %.3f,\n"
       "    \"block_prune_batch_ms\": %.3f,\n"
-      "    \"hybrid_batch_ms\": %.3f,\n"
       "    \"auto_batch_ms\": %.3f\n"
       "  },\n"
       "  \"speedups\": {\n"
@@ -527,30 +512,26 @@ int main(int argc, char** argv) {
       "    \"block_vs_pr1\": %.3f,\n"
       "    \"block_prune_vs_pr1\": %.3f,\n"
       "    \"block_prune_vs_block\": %.3f,\n"
-      "    \"hybrid_vs_block\": %.3f,\n"
       "    \"prune_vs_block\": %.3f\n"
       "  },\n"
       "  \"exact\": {\"block_bit_identical\": %s, "
       "\"prune_bit_identical\": %s, \"pr1_same_docs\": %s, "
       "\"cluster_prune_identical\": %s},\n",
       kDocs, kMaxWordsPerDoc, kVocab, kZipfTheta, kQueries, kTermsPerQuery, kTopN,
-      pr1_ms, scalar_ms, block_ms, wand_ms, hybrid_ms, auto_ms,
+      pr1_ms, scalar_ms, block_ms, wand_ms, auto_ms,
       pr1_ms / scalar_ms, pr1_ms / block_ms, pr1_ms / wand_ms,
-      block_ms / wand_ms, block_ms / hybrid_ms, block_ms / auto_ms,
+      block_ms / wand_ms, block_ms / auto_ms,
       block_exact ? "true" : "false", prune_exact ? "true" : "false",
       pr1_same_docs ? "true" : "false", cluster_exact ? "true" : "false");
   std::fprintf(out, "  \"pruning_stats\": {\n");
   PrintJsonStats(out, "taat", block_ms, taat_stats, ",");
   PrintJsonStats(out, "wand", wand_ms, wand_stats, ",");
-  PrintJsonStats(out, "hybrid", hybrid_ms, hybrid_stats, ",");
   PrintJsonStats(out, "auto", auto_ms, auto_stats, "");
   std::fprintf(out, "  },\n  \"mixes\": {\n");
   for (size_t m = 0; m < mixes.size(); ++m) {
     const Mix& mix = mixes[m];
     std::fprintf(out, "    \"%s\": {\n  ", mix.name);
     PrintJsonStats(out, "wand", mix.wand_ms, mix.wand_stats, ",  ");
-    std::fprintf(out, "  ");
-    PrintJsonStats(out, "hybrid", mix.hybrid_ms, mix.hybrid_stats, ",  ");
     std::fprintf(out, "  ");
     PrintJsonStats(out, "auto", mix.auto_ms, mix.auto_stats, ",  ");
     std::fprintf(out, "    \"block_batch_ms\": %.3f\n    }%s\n", mix.block_ms,

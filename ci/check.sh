@@ -92,7 +92,7 @@ tsan() {
   ./build-tsan/tests/dls_federate_tests
   echo "== TSan: concurrency suites with the packed kernel =="
   DLS_KERNEL=packed ./build-tsan/tests/dls_ir_tests \
-    --gtest_filter='ParallelQuery*:Codec*:Kernel*:Wand*:SharedThreshold*:Segment*:Strategy*:Hybrid*'
+    --gtest_filter='ParallelQuery*:Codec*:Kernel*:Wand*:SharedThreshold*:Segment*:Strategy*'
   DLS_KERNEL=packed ./build-tsan/tests/dls_net_tests \
     --gtest_filter='TcpTest*:RemoteClusterTest*:ReplicaTest*:FaultScheduleTest*:LiveClusterTest*'
   DLS_KERNEL=packed ./build-tsan/tests/dls_serve_tests \

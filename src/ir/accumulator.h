@@ -82,16 +82,10 @@ class ScoreAccumulator {
   }
 
   double score(DocId doc) const { return scores_[doc]; }
-  /// Score of `doc`, or 0 when this query has not touched it — the
-  /// read the hybrid evaluator's DAAT pass does per candidate (an
-  /// untouched slot holds a stale value from an earlier query, so the
-  /// flag check is load-bearing, not defensive).
-  double ScoreOrZero(DocId doc) const {
-    return touched_flag_[doc] != 0 ? scores_[doc] : 0.0;
-  }
   size_t touched_count() const { return touched_.size(); }
   /// Documents scored so far, in first-touch order. Valid until the
-  /// next Reset(); the hybrid evaluator scans it to seed its θ.
+  /// next Reset(); WandTopN offers the suffix each scan-mode window
+  /// appends to its heap.
   const std::vector<DocId>& touched() const { return touched_; }
   /// Current backing-array size in documents (tests / introspection).
   size_t backing_docs() const { return scores_.size(); }

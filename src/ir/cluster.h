@@ -60,10 +60,9 @@ struct ShardResult {
   /// Packed posting blocks decompressed by the pruning cursors; 0 on
   /// exhaustive or uncompressed evaluations.
   uint64_t blocks_decoded = 0;
-  /// DAAT outer-loop iterations of the pruning evaluators (pivot
-  /// selections / candidate docs examined); 0 for exhaustive TAAT.
+  /// Pivot selections of the WAND loop; 0 for exhaustive TAAT.
   uint64_t pivot_iterations = 0;
-  /// Cursor repositionings of the pruning evaluators; 0 for TAAT.
+  /// Cursor repositionings of the WAND loop; 0 for TAAT.
   uint64_t cursor_advances = 0;
   double elapsed_us = 0;
 };
@@ -124,13 +123,13 @@ struct ClusterQueryStats {
   size_t bytes_shipped = 0;
   size_t postings_touched_total = 0;
   size_t postings_touched_max_node = 0;  ///< critical-path posting count
-  /// Σ over nodes of posting blocks pruned by the pruning evaluators
+  /// Σ over nodes of posting blocks pruned by the WAND evaluator
   /// (options.prune); 0 on the exhaustive path.
   size_t blocks_skipped = 0;
   /// Σ over nodes of packed blocks decompressed by the pruning
   /// cursors.
   size_t blocks_decoded = 0;
-  /// Σ over nodes of DAAT outer-loop iterations (RankStats).
+  /// Σ over nodes of WAND pivot selections (RankStats).
   size_t pivot_iterations = 0;
   /// Σ over nodes of cursor repositionings (RankStats).
   size_t cursor_advances = 0;

@@ -16,10 +16,9 @@ struct FragmentQueryStats {
   /// Packed posting blocks decompressed by the pruning cursors (pruned
   /// packed evaluation only) — skipped blocks never decode.
   size_t blocks_decoded = 0;
-  /// DAAT outer-loop iterations of the pruning evaluators (pivot
-  /// selections / candidate docs examined); 0 for exhaustive TAAT.
+  /// Pivot selections of the WAND loop; 0 for exhaustive TAAT.
   size_t pivot_iterations = 0;
-  /// Cursor repositionings of the pruning evaluators; 0 for TAAT.
+  /// Cursor repositionings of the WAND loop; 0 for TAAT.
   size_t cursor_advances = 0;
   size_t terms_evaluated = 0;    ///< query terms whose fragment was read
   size_t terms_skipped = 0;      ///< query terms behind the cut-off

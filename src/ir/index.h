@@ -93,11 +93,7 @@ struct SegmentLoadOptions {
 ///            postings and whole blocks that provably cannot enter the
 ///            top N. Wins when the threshold rises quickly (rare
 ///            terms, small N).
-///   kHybrid  TAAT over the high-df terms (vectorised, into the pooled
-///            accumulator, seeding a strong initial θ), then a DAAT
-///            pass over the rare tail against that θ — the branchy
-///            loop only ever sees short lists.
-///   kAuto    a per-query cost model picks one of the above from the
+///   kAuto    a per-query cost model picks kTaat or kWand from the
 ///            query's df profile and N (see PlanStrategy in
 ///            ir/kernel.h). Without RankOptions::prune it always
 ///            plans kTaat, preserving the historical default.
@@ -105,7 +101,6 @@ enum class RankStrategy : uint8_t {
   kAuto = 0,
   kTaat = 1,
   kWand = 2,
-  kHybrid = 3,
 };
 
 /// Work accounting of a ranked evaluation (defined in ir/kernel.h).
@@ -205,7 +200,7 @@ struct RankOptions {
   bool shared_threshold = false;
   /// Evaluation strategy (see RankStrategy). kAuto defers to the
   /// per-query cost model when `prune` is set and to the exhaustive
-  /// TAAT scan otherwise; an explicit kTaat/kWand/kHybrid forces that
+  /// TAAT scan otherwise; an explicit kTaat/kWand forces that
   /// evaluation regardless of `prune`. All choices are bit-identical.
   RankStrategy strategy = RankStrategy::kAuto;
   /// Candidate-set pushdown (non-owning; null = no filter): restrict

@@ -80,7 +80,7 @@ void ScorePostingList(const PostingList& list, double w,
   }
 }
 
-// The strategy evaluators (WAND, hybrid, TAAT dispatch) compile here,
+// The strategy evaluators (WAND, TAAT dispatch) compile here,
 // in the one TU built with the hot-loop flags — see the
 // extern-template block in kernel.h.
 DLS_IR_EVAL_INSTANTIATIONS(, DocIdTieLess);

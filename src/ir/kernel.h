@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "ir/accumulator.h"
@@ -32,13 +31,12 @@ namespace dls::ir {
 /// contraction off; see src/ir/CMakeLists.txt).
 ///
 /// On top of the kernel sit the evaluation strategies
-/// (RankOptions::strategy): the exhaustive TAAT scan, the pruning DAAT
-/// WAND loop, and the hybrid TAAT/DAAT evaluator, all dispatched
-/// through EvaluateTopN at the bottom of this header. Every strategy
-/// sums a document's term contributions in the same canonical order
-/// (df desc, resolved position asc), which makes them bit-identical —
-/// FP addition commutes but does not associate, so the summation order
-/// is part of the exactness contract.
+/// (RankOptions::strategy): the exhaustive TAAT scan and the pruning
+/// DAAT WAND loop, both dispatched through EvaluateTopN at the bottom
+/// of this header. Both sum a document's term contributions in the
+/// same canonical order (df desc, resolved position asc), which makes
+/// them bit-identical — FP addition commutes but does not associate,
+/// so the summation order is part of the exactness contract.
 
 /// Hoisted per-term constant w = λ·CL / ((1−λ)·df). Requires df > 0.
 inline double TermWeight(int32_t df, int64_t collection_length,
@@ -150,13 +148,6 @@ inline size_t GallopLowerBound(const DocId* docs, size_t lo, size_t hi,
       std::lower_bound(docs + prev + 1, docs + upper, target) - docs);
 }
 
-/// One query term for WandTopN.
-struct WandTerm {
-  const PostingList* list;
-  double w;      ///< hoisted TermWeight of the term
-  size_t order;  ///< position in the canonical evaluation order
-};
-
 /// Work accounting of a ranked evaluation, shared by every strategy.
 struct RankStats {
   size_t postings_touched = 0;  ///< postings actually scored
@@ -166,17 +157,13 @@ struct RankStats {
   /// blocks_decoded + blocks_skipped accounts for the decode work a
   /// pruned packed evaluation saves.
   size_t blocks_decoded = 0;
-  /// DAAT outer-loop iterations: pivot selections of the WAND loop,
-  /// candidate documents examined by the hybrid rare pass. 0 under
-  /// kTaat — the exhaustive scan has no pivots.
+  /// Pivot selections of the WAND loop. 0 under kTaat — the
+  /// exhaustive scan has no pivots.
   size_t pivot_iterations = 0;
   /// Cursor repositionings: galloped seeks, batched-run advances and
   /// single-posting steps. 0 under kTaat.
   size_t cursor_advances = 0;
 };
-/// Historical name from before the hybrid evaluator existed; the WAND
-/// loop reports through the shared RankStats now.
-using WandStats = RankStats;
 
 /// Named tie-break comparators. The strategy evaluators below are
 /// function templates over the tie order; kernel.cc explicitly
@@ -197,16 +184,30 @@ struct ErasedTieLess {
   bool operator()(DocId a, DocId b) const { return fn(ctx, a, b); }
 };
 
+/// One query term for the evaluators (EvaluateTopN, WandTopN): posting
+/// list, hoisted weight, and the df the canonical order and the cost
+/// model use — node-local df for single-index rankings, collection-wide
+/// df on the cluster path (the same statistics the weight was computed
+/// with).
+struct EvalTerm {
+  const PostingList* list;
+  double w;        ///< hoisted TermWeight of the term
+  int32_t df = 0;  ///< document frequency (ordering + cost model input)
+};
+
 /// WAND-style exact top-`n` evaluation over block-structured posting
-/// lists (document-at-a-time with score upper bounds).
+/// lists (document-at-a-time with score upper bounds). `terms` must
+/// already be in canonical evaluation order (EvaluateTopN sorts them):
+/// a term's position in the array is its place in every document's
+/// summation.
 ///
 /// Exactness argument: the bounded heap's threshold θ (the n-th best
 /// score so far, or `initial_threshold` from an outer merge) is a
 /// lower bound of the final n-th best score, every skip requires the
 /// candidate's score bound to be *strictly* below θ, and a document
 /// that is scored at all is scored completely, with its term
-/// contributions summed in canonical evaluation order (WandTerm::order
-/// asc) — exactly the order the TAAT accumulator adds them. The
+/// contributions summed in canonical evaluation order (array order of
+/// `terms`) — exactly the order the TAAT accumulator adds them. The
 /// returned ranking (documents and scores, ordered by score desc then
 /// `tie_less`) is therefore bit-identical to exhaustive evaluation;
 /// only the work differs.
@@ -217,7 +218,7 @@ struct ErasedTieLess {
 /// decode — with the (max_tf, max_inv_doclen) product bound as the
 /// fallback for hand-built lists that were never finalised.
 ///
-/// Work shape: cursors form a small (doc, order)-sorted array; lagging
+/// Work shape: cursors form a small array in canonical order; lagging
 /// cursors seek with block skips plus galloping within the target
 /// block, and when a pivot survives its block-max bound check the loop
 /// drops into *scan mode* for one block-bounded window: every live
@@ -269,7 +270,7 @@ struct ErasedTieLess {
 /// nothing); scan-mode windows score it exactly and the heap gate
 /// simply never sees it.
 template <typename TieLess>
-std::vector<ScoredDoc> WandTopN(const std::vector<WandTerm>& terms,
+std::vector<ScoredDoc> WandTopN(const std::vector<EvalTerm>& terms,
                                 size_t num_docs,
                                 const double* inv_doc_lengths,
                                 double max_inv_doclen, size_t n,
@@ -295,14 +296,13 @@ std::vector<ScoredDoc> WandTopN(const std::vector<WandTerm>& terms,
     const PostingList* list;
     double w;
     double bound;  // list-level score upper bound
-    size_t order;
     bool packed;  // read via the decode cache instead of the SoA arrays
     bool keyed;   // per-block score keys available (block-max bounds)
     size_t slot;  // index of this cursor's decode cache
     size_t pos = 0;
     // Cached doc at pos; kExhausted once the list runs out. The cursor
-    // array is NEVER re-sorted — it stays in canonical (order asc)
-    // position for the whole evaluation, so equal-doc work always
+    // array is NEVER re-sorted — it stays in canonical (`terms`)
+    // order for the whole evaluation, so equal-doc work always
     // visits cursors in canonical order by plain array order, and the
     // per-iteration sort/compact machinery of a doc-sorted design is
     // gone entirely.
@@ -314,7 +314,7 @@ std::vector<ScoredDoc> WandTopN(const std::vector<WandTerm>& terms,
   constexpr DocId kExhausted = std::numeric_limits<DocId>::max();
   std::vector<Cursor> cursors;
   cursors.reserve(terms.size());
-  for (const WandTerm& t : terms) {
+  for (const EvalTerm& t : terms) {
     if (t.list == nullptr || t.list->empty()) continue;
     const bool packed = (kernel == ScoreKernel::kPacked ||
                          t.list->payload_released()) &&
@@ -324,7 +324,7 @@ std::vector<ScoredDoc> WandTopN(const std::vector<WandTerm>& terms,
         keyed ? ScoreUpperBoundFromKey(t.w, t.list->max_score_key())
               : ScoreUpperBound(t.w, t.list->max_tf(), max_inv_doclen);
     cursors.push_back(
-        Cursor{t.list, t.w, bound, t.order, packed, keyed, cursors.size()});
+        Cursor{t.list, t.w, bound, packed, keyed, cursors.size()});
   }
 
   RankStats local;
@@ -669,46 +669,25 @@ std::vector<ScoredDoc> WandTopN(const std::vector<WandTerm>& terms,
   return heap;
 }
 
-/// One query term for the strategy-dispatched evaluators
-/// (EvaluateTopN / HybridTopN): posting list, hoisted weight, and the
-/// df the canonical order and the cost model use — node-local df for
-/// single-index rankings, collection-wide df on the cluster path (the
-/// same statistics the weight was computed with).
-struct EvalTerm {
-  const PostingList* list;
-  double w;        ///< hoisted TermWeight of the term
-  int32_t df = 0;  ///< document frequency (ordering + cost model input)
-};
-
 /// Terms with df ≤ document_count / kRareDfDivisor count as "rare" for
-/// the cost model and the hybrid split: their posting lists are short
-/// enough that the branchy DAAT loop is cheap, and partially skipping
-/// them is where pruning saves wall-clock. High-df terms are the
-/// opposite — cheap per posting under the vectorised scan, expensive
-/// to skip.
+/// the cost model: their posting lists are short enough that the
+/// branchy DAAT loop is cheap, and partially skipping them is where
+/// pruning saves wall-clock. High-df terms are the opposite — cheap per
+/// posting under the vectorised scan, expensive to skip.
 inline constexpr size_t kRareDfDivisor = 32;
 
-/// Cap on the number of phase-1 partial scores the hybrid evaluator
-/// offers when seeding θ. Seeding from a strided sample is sound —
-/// the n-th best of *any* subset of the partials is still a lower
-/// bound of the final n-th best — and keeps the seeding pass O(cap)
-/// instead of O(touched documents), which on dense queries would cost
-/// more than the rare tail it buys skips in.
-inline constexpr size_t kThetaSeedOffers = 1024;
-
-/// Number of high-df terms in a (df desc)-sorted term array — the
-/// TAAT/DAAT split point of the hybrid evaluator. Because the terms
-/// are sorted, the high-df terms are exactly the prefix, so scoring
-/// them first keeps the per-document summation in canonical order.
-inline size_t HybridSplit(const EvalTerm* terms, size_t count,
-                          size_t num_docs) {
+/// Number of dense (above the rare cut) terms in a (df desc)-sorted
+/// term array. Because the terms are sorted, the dense terms are
+/// exactly the prefix and the rare terms the rest.
+inline size_t DenseTermCount(const EvalTerm* terms, size_t count,
+                             size_t num_docs) {
   const size_t rare_cut = num_docs / kRareDfDivisor;
-  size_t split = 0;
-  while (split < count &&
-         static_cast<size_t>(terms[split].df) > rare_cut) {
-    ++split;
+  size_t dense = 0;
+  while (dense < count &&
+         static_cast<size_t>(terms[dense].df) > rare_cut) {
+    ++dense;
   }
-  return split;
+  return dense;
 }
 
 /// WAND's per-candidate machinery (pivot selection, galloped seeks,
@@ -724,11 +703,6 @@ inline constexpr size_t kWandCandidateFactor = 8;
 /// Largest number of long (above the rare cut) cursors a query may
 /// have and still be sent to kWand — see PlanStrategy.
 inline constexpr size_t kWandMaxDenseCursors = 2;
-
-/// kHybrid needs the rare tail to carry at least 1/this of the query's
-/// postings before its θ-seeding and candidate bookkeeping pay off;
-/// thinner tails ride the exhaustive scan — see PlanStrategy.
-inline constexpr size_t kHybridRareShareDivisor = 4;
 
 /// The per-query cost model behind RankStrategy::kAuto with
 /// RankOptions::prune: picks the evaluation strategy from the query's
@@ -746,27 +720,26 @@ inline constexpr size_t kHybridRareShareDivisor = 4;
 ///     kWandMaxDenseCursors long cursors ⇒ kWand: θ is set by the rare
 ///     contributors, so the long lists gallop between their documents
 ///     instead of being scanned — the pruning jackpot.
-///   - heavy rare tail (≥ 1/kHybridRareShareDivisor of the postings)
-///     behind long lists ⇒ kHybrid: vectorised TAAT over the long
-///     lists seeds θ, the branchy loop only ever sees the short ones.
 ///   - otherwise ⇒ kTaat: whatever pruning could save is smaller than
 ///     the machinery it would buy it with.
 inline RankStrategy PlanStrategy(const EvalTerm* terms, size_t count,
                                  size_t n, size_t num_docs) {
   if (count == 0) return RankStrategy::kTaat;
-  if (n * 8 >= num_docs) return RankStrategy::kTaat;
+  // n·8 ≥ num_docs, written without the multiply: `n` arrives from the
+  // wire unbounded, and n·8 wraps for n ≥ 2^61.
+  if (n >= num_docs / 8 + (num_docs % 8 != 0)) return RankStrategy::kTaat;
   size_t total = 0;
   for (size_t i = 0; i < count; ++i) {
     total += terms[i].list == nullptr ? 0 : terms[i].list->size();
   }
   if (total * 4 <= num_docs) return RankStrategy::kTaat;
-  const size_t split = HybridSplit(terms, count, num_docs);
-  if (split == count) return RankStrategy::kTaat;
+  const size_t dense = DenseTermCount(terms, count, num_docs);
+  if (dense == count) return RankStrategy::kTaat;
+  if (dense == 0) return RankStrategy::kWand;  // every list is short
   size_t rare = 0;
-  for (size_t i = split; i < count; ++i) {
+  for (size_t i = dense; i < count; ++i) {
     rare += terms[i].list == nullptr ? 0 : terms[i].list->size();
   }
-  if (split == 0) return RankStrategy::kWand;  // every list is short
   // Selective query: candidates are bounded by the short lists and the
   // few long cursors gallop between them — but only while the long
   // cursors' summed bounds stay below θ. Each additional long cursor
@@ -774,242 +747,9 @@ inline RankStrategy PlanStrategy(const EvalTerm* terms, size_t count,
   // kWandMaxDenseCursors the sum clears θ almost everywhere, the DAAT
   // loop degenerates into an interleaved scan, and the exhaustive
   // vectorised scan is simply faster.
-  if (rare * kWandCandidateFactor <= total) {
-    return split <= kWandMaxDenseCursors ? RankStrategy::kWand
-                                         : RankStrategy::kTaat;
-  }
-  // Heavy rare tail behind long lists: TAAT the long prefix to seed θ,
-  // DAAT only the short tail. A thin tail isn't worth the hybrid's
-  // seeding and candidate bookkeeping — scan it.
-  return rare * kHybridRareShareDivisor >= total ? RankStrategy::kHybrid
-                                                 : RankStrategy::kTaat;
-}
-
-/// Hybrid TAAT/DAAT exact top-`n`: phase 1 scores the high-df prefix
-/// terms[0, split) with the vectorised TAAT kernel into the pooled
-/// accumulator and seeds θ with the n-th best of a strided sample of
-/// the partial scores (sound: contributions are non-negative, so a
-/// partial score is a lower bound of that document's final score, and
-/// the n-th best of any subset of lower bounds is a lower bound of
-/// the final n-th best — see kThetaSeedOffers). Phase 2 runs a DAAT pass over the
-/// rare tail terms[split, ...): each candidate document's upper bound
-/// is its exact accumulated partial plus its rare contributors' block
-/// key bounds; documents that cannot reach θ are left incomplete,
-/// everything else is completed *into the accumulator* — contributions
-/// append in cursor (canonical) order, so a completed document's
-/// summation sequence is exactly the exhaustive reference's. Phase 3
-/// extracts the top n from the accumulator.
-///
-/// Exactness of the extraction: a document left incomplete satisfied
-/// partial ≤ bound < θ strictly, and θ is only ever raised once n
-/// completed-or-final scores ≥ θ exist (or `initial_threshold`, which
-/// the cluster only feeds after n global candidates exist), so an
-/// incomplete document can never displace a true top-n document — the
-/// extracted ranking is bit-identical to the exhaustive one. The same
-/// argument as WandTopN's covers `initial_threshold` and the shared-θ
-/// publication protocol (published values are n-th bests of completed
-/// scores, hence lower bounds of the final global n-th best).
-///
-/// `filter` (RankOptions::doc_filter; null = no filter): θ offers —
-/// including the phase-1 partial-score seeding — are restricted to
-/// filtered documents (an unfiltered document's partial is *not* a
-/// lower bound of any filtered final score, so offering it could
-/// over-raise θ and wrongly prune a filtered document), candidates
-/// outside the filter skip the bound check and completion entirely,
-/// and the extraction is filtered. The result is bit-identical to
-/// exhaustive-then-filter.
-template <typename TieLess>
-std::vector<ScoredDoc> HybridTopN(const std::vector<EvalTerm>& terms,
-                                  size_t split, size_t num_docs,
-                                  const double* inv_doc_lengths,
-                                  double max_inv_doclen, size_t n,
-                                  double initial_threshold, TieLess tie_less,
-                                  ScoreKernel kernel, RankStats* stats,
-                                  std::atomic<double>* shared_theta = nullptr,
-                                  const DocFilter* filter = nullptr) {
-  RankStats local;
-  if (n == 0) {
-    if (stats != nullptr) *stats = local;
-    return {};
-  }
-  ScoreAccumulator& acc = ScoreAccumulator::ThreadLocal();
-  acc.Reset(num_docs);
-
-  // Phase 1: vectorised TAAT over the high-df prefix.
-  for (size_t i = 0; i < split; ++i) {
-    if (terms[i].list == nullptr) continue;
-    local.postings_touched += terms[i].list->size();
-    ScorePostingList(*terms[i].list, terms[i].w, inv_doc_lengths, kernel,
-                     &acc);
-  }
-
-  // Running n-th best of completed (phase-2) and lower-bound (phase-1
-  // partial) scores — the θ the rare pass prunes against.
-  std::priority_queue<double, std::vector<double>, std::greater<double>>
-      theta_heap;
-  auto offer_theta = [&](double score) {
-    if (theta_heap.size() < n) {
-      theta_heap.push(score);
-    } else if (score > theta_heap.top()) {
-      theta_heap.pop();
-      theta_heap.push(score);
-    } else {
-      return;
-    }
-    if (shared_theta != nullptr && theta_heap.size() == n) {
-      const double mine = theta_heap.top();
-      double seen = shared_theta->load(std::memory_order_relaxed);
-      while (mine > seen && !shared_theta->compare_exchange_weak(
-                                seen, mine, std::memory_order_relaxed)) {
-      }
-    }
-  };
-  // Seed θ from a strided sample of the phase-1 partials (sound: the
-  // n-th best of any subset of lower bounds is a lower bound of the
-  // final n-th best; a sparser sample only weakens the seed, never
-  // breaks a skip). Skipped entirely when there is no rare tail to
-  // prune and no peer waiting on a shared-θ publication.
-  bool rare_tail = shared_theta != nullptr;
-  for (size_t i = split; i < terms.size() && !rare_tail; ++i) {
-    rare_tail = terms[i].list != nullptr && !terms[i].list->empty();
-  }
-  if (rare_tail) {
-    const std::vector<DocId>& touched = acc.touched();
-    const size_t stride = touched.size() > kThetaSeedOffers
-                              ? touched.size() / kThetaSeedOffers
-                              : 1;
-    for (size_t i = 0; i < touched.size(); i += stride) {
-      if (filter != nullptr && !filter->Contains(touched[i])) continue;
-      offer_theta(acc.score(touched[i]));
-    }
-  }
-  auto current_theta = [&]() {
-    double theta = theta_heap.size() == n
-                       ? std::max(initial_threshold, theta_heap.top())
-                       : initial_threshold;
-    if (shared_theta != nullptr) {
-      theta = std::max(theta,
-                       shared_theta->load(std::memory_order_relaxed));
-    }
-    return theta;
-  };
-
-  // Phase 2: DAAT over the rare tail. The lists here are short by
-  // construction (the cost model splits at df ≤ corpus/32), so a
-  // plain doc-at-a-time walk with per-document bound checks is cheap;
-  // the saving is every skipped completion, bought by the θ phase 1
-  // seeded.
-  struct Cursor {
-    const PostingList* list;
-    double w;
-    size_t order;
-    bool packed;
-    bool keyed;
-    size_t slot;
-    size_t pos = 0;
-    size_t bound_block = std::numeric_limits<size_t>::max();
-    double block_bound = 0.0;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(terms.size() - split);
-  for (size_t i = split; i < terms.size(); ++i) {
-    const EvalTerm& t = terms[i];
-    if (t.list == nullptr || t.list->empty()) continue;
-    const bool packed = (kernel == ScoreKernel::kPacked ||
-                         t.list->payload_released()) &&
-                        t.list->is_packed();
-    cursors.push_back(Cursor{t.list, t.w, i, packed,
-                             t.list->has_block_bounds(), cursors.size()});
-  }
-  struct DecodedBlock {
-    size_t block = std::numeric_limits<size_t>::max();
-    DocId docs[kPostingBlockSize];
-    int32_t tfs[kPostingBlockSize];
-  };
-  bool any_packed = false;
-  for (const Cursor& c : cursors) any_packed |= c.packed;
-  std::vector<DecodedBlock> decoded(any_packed ? cursors.size() : 0);
-  auto ensure_decoded = [&](const Cursor& c, size_t block) -> DecodedBlock& {
-    DecodedBlock& d = decoded[c.slot];
-    if (d.block != block) {
-      c.list->DecodePackedBlock(block, d.docs, d.tfs);
-      d.block = block;
-      ++local.blocks_decoded;
-    }
-    return d;
-  };
-  auto doc_at = [&](const Cursor& c) -> DocId {
-    if (c.packed) {
-      return ensure_decoded(c, c.pos / kPostingBlockSize)
-          .docs[c.pos % kPostingBlockSize];
-    }
-    return c.list->doc(c.pos);
-  };
-  auto tf_at = [&](const Cursor& c) -> int32_t {
-    if (c.packed) {
-      return ensure_decoded(c, c.pos / kPostingBlockSize)
-          .tfs[c.pos % kPostingBlockSize];
-    }
-    return c.list->tf(c.pos);
-  };
-  auto block_bound = [&max_inv_doclen](Cursor& c) {
-    size_t b = c.pos / kPostingBlockSize;
-    if (b != c.bound_block) {
-      c.bound_block = b;
-      const PostingBlockMeta& m = c.list->block_meta(b);
-      c.block_bound = c.keyed
-                          ? ScoreUpperBoundFromKey(c.w, m.score_key)
-                          : ScoreUpperBound(c.w, m.max_tf, max_inv_doclen);
-    }
-    return c.block_bound;
-  };
-  auto by_doc = [&doc_at](const Cursor& a, const Cursor& b) {
-    DocId da = doc_at(a), db = doc_at(b);
-    if (da != db) return da < db;
-    return a.order < b.order;
-  };
-  auto compact = [&]() {
-    cursors.erase(std::remove_if(cursors.begin(), cursors.end(),
-                                 [](const Cursor& c) {
-                                   return c.pos >= c.list->size();
-                                 }),
-                  cursors.end());
-    std::sort(cursors.begin(), cursors.end(), by_doc);
-  };
-  compact();
-
-  while (!cursors.empty()) {
-    ++local.pivot_iterations;
-    const DocId d = doc_at(cursors[0]);
-    size_t m = 1;
-    while (m < cursors.size() && doc_at(cursors[m]) == d) ++m;
-    // A candidate outside the filter can neither enter the result nor
-    // feed θ — its cursors step over it without any scoring.
-    if (filter == nullptr || filter->Contains(d)) {
-      const double theta = current_theta();
-      double bound = acc.ScoreOrZero(d);
-      for (size_t i = 0; i < m; ++i) bound += block_bound(cursors[i]);
-      if (bound >= theta) {
-        // Complete the document: rare contributions append to the
-        // accumulator in cursor (canonical) order, reproducing the
-        // exhaustive reference's per-document summation sequence.
-        const double inv_len = inv_doc_lengths[d];
-        for (size_t i = 0; i < m; ++i) {
-          acc.Add(d, KernelScore(cursors[i].w, tf_at(cursors[i]), inv_len));
-        }
-        local.postings_touched += m;
-        offer_theta(acc.score(d));
-      }
-    }
-    for (size_t i = 0; i < m; ++i) {
-      ++cursors[i].pos;
-      ++local.cursor_advances;
-    }
-    compact();
-  }
-
-  if (stats != nullptr) *stats = local;
-  return acc.ExtractTopN(n, tie_less, filter);
+  return rare * kWandCandidateFactor <= total && dense <= kWandMaxDenseCursors
+             ? RankStrategy::kWand
+             : RankStrategy::kTaat;
 }
 
 /// Strategy-dispatched exact top-`n` — the single entry point every
@@ -1019,7 +759,7 @@ std::vector<ScoredDoc> HybridTopN(const std::vector<EvalTerm>& terms,
 /// std::stable_sort keeps resolved order on df ties), resolves
 /// RankStrategy::kAuto through PlanStrategy (kTaat when
 /// !options.prune, preserving the historical default), and runs the
-/// chosen evaluator. Because every strategy sums each document's
+/// chosen evaluator. Because both strategies sum each document's
 /// contributions in the canonical order, the returned ranking is
 /// bit-identical across strategies, kernels and storage modes; only
 /// `stats` differs.
@@ -1043,40 +783,24 @@ std::vector<ScoredDoc> EvaluateTopN(std::vector<EvalTerm> terms,
                    ? PlanStrategy(terms.data(), terms.size(), n, num_docs)
                    : RankStrategy::kTaat;
   }
-  switch (strategy) {
-    case RankStrategy::kWand: {
-      std::vector<WandTerm> wand_terms;
-      wand_terms.reserve(terms.size());
-      for (size_t i = 0; i < terms.size(); ++i) {
-        wand_terms.push_back(WandTerm{terms[i].list, terms[i].w, i});
-      }
-      return WandTopN(wand_terms, num_docs, inv_doc_lengths, max_inv_doclen,
-                      n, initial_threshold, tie_less, options.kernel, stats,
-                      shared_theta, options.doc_filter);
-    }
-    case RankStrategy::kHybrid:
-      return HybridTopN(terms,
-                        HybridSplit(terms.data(), terms.size(), num_docs),
-                        num_docs, inv_doc_lengths, max_inv_doclen, n,
-                        initial_threshold, tie_less, options.kernel, stats,
-                        shared_theta, options.doc_filter);
-    default: {  // kTaat (and kAuto, already resolved above)
-      // The exhaustive scan scores everything; the doc_filter applies
-      // at extraction, which *is* post-filtering — the reference the
-      // pruning strategies are proved bit-identical against.
-      RankStats local;
-      ScoreAccumulator& acc = ScoreAccumulator::ThreadLocal();
-      acc.Reset(num_docs);
-      for (const EvalTerm& t : terms) {
-        if (t.list == nullptr) continue;
-        local.postings_touched += t.list->size();
-        ScorePostingList(*t.list, t.w, inv_doc_lengths, options.kernel,
-                         &acc);
-      }
-      if (stats != nullptr) *stats = local;
-      return acc.ExtractTopN(n, tie_less, options.doc_filter);
-    }
+  if (strategy == RankStrategy::kWand) {
+    return WandTopN(terms, num_docs, inv_doc_lengths, max_inv_doclen, n,
+                    initial_threshold, tie_less, options.kernel, stats,
+                    shared_theta, options.doc_filter);
   }
+  // kTaat: the exhaustive scan scores everything; the doc_filter
+  // applies at extraction, which *is* post-filtering — the reference
+  // the pruning strategy is proved bit-identical against.
+  RankStats local;
+  ScoreAccumulator& acc = ScoreAccumulator::ThreadLocal();
+  acc.Reset(num_docs);
+  for (const EvalTerm& t : terms) {
+    if (t.list == nullptr) continue;
+    local.postings_touched += t.list->size();
+    ScorePostingList(*t.list, t.w, inv_doc_lengths, options.kernel, &acc);
+  }
+  if (stats != nullptr) *stats = local;
+  return acc.ExtractTopN(n, tie_less, options.doc_filter);
 }
 
 // Hot single instantiations (definitions in kernel.cc; rationale at
@@ -1084,12 +808,8 @@ std::vector<ScoredDoc> EvaluateTopN(std::vector<EvalTerm> terms,
 // instantiates locally.
 #define DLS_IR_EVAL_INSTANTIATIONS(EXTERN, TIE)                             \
   EXTERN template std::vector<ScoredDoc> WandTopN<TIE>(                     \
-      const std::vector<WandTerm>&, size_t, const double*, double, size_t,  \
+      const std::vector<EvalTerm>&, size_t, const double*, double, size_t,  \
       double, TIE, ScoreKernel, RankStats*, std::atomic<double>*,           \
-      const DocFilter*);                                                    \
-  EXTERN template std::vector<ScoredDoc> HybridTopN<TIE>(                   \
-      const std::vector<EvalTerm>&, size_t, size_t, const double*, double,  \
-      size_t, double, TIE, ScoreKernel, RankStats*, std::atomic<double>*,   \
       const DocFilter*);                                                    \
   EXTERN template std::vector<ScoredDoc> EvaluateTopN<TIE>(                 \
       std::vector<EvalTerm>, size_t, const double*, double, size_t, double, \

@@ -129,14 +129,23 @@ class FrameWriter {
   std::vector<uint8_t> bytes_;
 };
 
+/// The wire part of RankOptions, shared by ShardQuery and
+/// SearchRequest: lambda, then one byte each for kernel, prune and
+/// strategy. shared_threshold and doc_filter are in-process execution
+/// policy, not part of the wire query contract — deliberately not
+/// encoded.
+void WriteRankOptions(const ir::RankOptions& o, FrameWriter* w) {
+  w->F64(o.lambda);
+  w->U8(static_cast<uint8_t>(o.kernel));
+  w->U8(o.prune ? 1 : 0);
+  w->U8(static_cast<uint8_t>(o.strategy));
+}
+
 void WriteShardQuery(const ir::ShardQuery& q, FrameWriter* w) {
   w->Varint64(q.n);
   w->Varint64(q.max_fragments);
   w->F64(q.threshold);
-  w->F64(q.options.lambda);
-  w->U8(static_cast<uint8_t>(q.options.kernel));
-  w->U8(q.options.prune ? 1 : 0);
-  w->U8(static_cast<uint8_t>(q.options.strategy));
+  WriteRankOptions(q.options, w);
   w->Varint64(static_cast<uint64_t>(q.collection_length));
   w->Varint32(static_cast<uint32_t>(q.stems.size()));
   for (size_t i = 0; i < q.stems.size(); ++i) {
@@ -272,20 +281,36 @@ Status Truncated(const char* what) {
   return Status::Corruption(std::string("wire: malformed ") + what);
 }
 
+/// Reads what WriteRankOptions wrote. A kernel or strategy byte past
+/// the last enumerator, or a prune byte other than 0/1, is corruption:
+/// no peer of this wire version writes one.
+bool ReadRankOptions(BodyReader* r, ir::RankOptions* o) {
+  constexpr uint8_t kLastKernel =
+      static_cast<uint8_t>(ir::ScoreKernel::kPacked);
+  constexpr uint8_t kLastStrategy =
+      static_cast<uint8_t>(ir::RankStrategy::kWand);
+  o->lambda = r->F64();
+  const uint8_t kernel = r->U8();
+  const uint8_t prune = r->U8();
+  const uint8_t strategy = r->U8();
+  if (r->failed() || kernel > kLastKernel || prune > 1 ||
+      strategy > kLastStrategy) {
+    return false;
+  }
+  o->kernel = static_cast<ir::ScoreKernel>(kernel);
+  o->prune = prune != 0;
+  o->strategy = static_cast<ir::RankStrategy>(strategy);
+  return true;
+}
+
 bool ReadShardQuery(BodyReader* r, ir::ShardQuery* q) {
   q->n = r->Varint64();
   q->max_fragments = r->Varint64();
   q->threshold = r->F64();
-  q->options.lambda = r->F64();
-  const uint8_t kernel = r->U8();
-  const uint8_t prune = r->U8();
-  const uint8_t strategy = r->U8();
+  if (!ReadRankOptions(r, &q->options)) return false;
   q->collection_length = static_cast<int64_t>(r->Varint64());
   const uint32_t stems = r->Count(/*min_bytes_each=*/2);
-  if (r->failed() || kernel > 2 || prune > 1 || strategy > 3) return false;
-  q->options.kernel = static_cast<ir::ScoreKernel>(kernel);
-  q->options.prune = prune != 0;
-  q->options.strategy = static_cast<ir::RankStrategy>(strategy);
+  if (r->failed()) return false;
   q->stems.reserve(stems);
   q->stem_global_df.reserve(stems);
   for (uint32_t i = 0; i < stems; ++i) {
@@ -402,13 +427,7 @@ Result<std::vector<uint8_t>> EncodeSearchRequest(
   w.Varint64(request.n);
   w.Varint64(request.max_fragments);
   w.Varint32(request.deadline_ms);
-  w.F64(request.options.lambda);
-  w.U8(static_cast<uint8_t>(request.options.kernel));
-  w.U8(request.options.prune ? 1 : 0);
-  w.U8(static_cast<uint8_t>(request.options.strategy));
-  // options.shared_threshold and options.doc_filter are in-process
-  // execution policy, not part of the wire query contract —
-  // deliberately not encoded.
+  WriteRankOptions(request.options, &w);
   if (!request.structured.empty()) {
     // Versioned trailing extension (see the struct comment): absent
     // entirely for plain word queries, so pre-extension peers still
@@ -654,16 +673,9 @@ Result<SearchRequest> DecodeSearchRequest(const uint8_t* body, size_t len) {
   request.n = r.Varint64();
   request.max_fragments = r.Varint64();
   request.deadline_ms = r.Varint32();
-  request.options.lambda = r.F64();
-  const uint8_t kernel = r.U8();
-  const uint8_t prune = r.U8();
-  const uint8_t strategy = r.U8();
-  if (r.failed() || kernel > 2 || prune > 1 || strategy > 3) {
+  if (!ReadRankOptions(&r, &request.options)) {
     return Truncated("SearchRequest");
   }
-  request.options.kernel = static_cast<ir::ScoreKernel>(kernel);
-  request.options.prune = prune != 0;
-  request.options.strategy = static_cast<ir::RankStrategy>(strategy);
   if (r.remaining() != 0) {
     // Versioned trailing extension. Version 1 carries the structured
     // federated query; anything newer is a well-formed frame from a

@@ -166,12 +166,10 @@ TEST_F(MediatorTest, FederatedMatchesPostFilterAcrossOptions) {
       "AND cobra(event=rally, min_len=5s)";
   const CandidateSet survivors = {"p1", "p3"};
 
-  ir::RankOptions configs[4];
+  ir::RankOptions configs[3];
   configs[1].prune = true;
   configs[2].prune = true;
   configs[2].strategy = ir::RankStrategy::kWand;
-  configs[3].prune = true;
-  configs[3].strategy = ir::RankStrategy::kHybrid;
 
   Mediator mediator(Backends());
   for (const ir::RankOptions& options : configs) {

@@ -70,7 +70,7 @@ void ExpectBitIdentical(const LiveIndex::Snapshot& snap,
   }
 }
 
-/// Every (kernel × pruning) configuration plus the forced strategies —
+/// Every (kernel × pruning) configuration plus forced WAND —
 /// the sweep each checkpoint of the randomized schedule runs.
 std::vector<std::pair<std::string, ir::RankOptions>> ConfigSweep() {
   std::vector<std::pair<std::string, ir::RankOptions>> configs;
@@ -87,14 +87,10 @@ std::vector<std::pair<std::string, ir::RankOptions>> ConfigSweep() {
       configs.emplace_back(kname + (prune ? "+prune" : "+exhaustive"), o);
     }
   }
-  for (ir::RankStrategy s :
-       {ir::RankStrategy::kWand, ir::RankStrategy::kHybrid}) {
-    ir::RankOptions o;
-    o.prune = true;
-    o.strategy = s;
-    configs.emplace_back(
-        s == ir::RankStrategy::kWand ? "forced-wand" : "forced-hybrid", o);
-  }
+  ir::RankOptions forced_wand;
+  forced_wand.prune = true;
+  forced_wand.strategy = ir::RankStrategy::kWand;
+  configs.emplace_back("forced-wand", forced_wand);
   return configs;
 }
 

@@ -53,8 +53,8 @@ std::vector<RankOptions> AllConfigs() {
   std::vector<RankOptions> configs;
   for (ScoreKernel kernel :
        {ScoreKernel::kScalar, ScoreKernel::kBlock, ScoreKernel::kPacked}) {
-    for (RankStrategy strategy : {RankStrategy::kAuto, RankStrategy::kTaat,
-                                  RankStrategy::kWand, RankStrategy::kHybrid}) {
+    for (RankStrategy strategy :
+         {RankStrategy::kAuto, RankStrategy::kTaat, RankStrategy::kWand}) {
       for (bool prune : {false, true}) {
         RankOptions o;
         o.kernel = kernel;

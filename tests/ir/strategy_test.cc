@@ -1,16 +1,15 @@
 // Bit-identity contract of RankOptions::strategy: every evaluation
-// strategy — TAAT, WAND, hybrid TAAT/DAAT and the auto cost model —
-// must return the identical ranking (documents AND scores) as the
-// exhaustive scalar reference, on every index shape (Text, Fragmented,
-// Cluster), execution mode (sequential, parallel), storage mode (heap,
-// mmap-served segment) and kernel. The Strategy*/Hybrid* suites are
-// also run under TSan and ASan+UBSan by ci/check.sh.
+// strategy — TAAT, WAND and the auto cost model — must return the
+// identical ranking (documents AND scores) as the exhaustive scalar
+// reference, on every index shape (Text, Fragmented, Cluster),
+// execution mode (sequential, parallel), storage mode (heap,
+// mmap-served segment) and kernel. The Strategy* suite is also run
+// under TSan and ASan+UBSan by ci/check.sh.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -83,8 +82,7 @@ void ExpectClusterIdentical(const std::vector<ClusterScoredDoc>& a,
 
 const RankStrategy kAllStrategies[] = {RankStrategy::kAuto,
                                        RankStrategy::kTaat,
-                                       RankStrategy::kWand,
-                                       RankStrategy::kHybrid};
+                                       RankStrategy::kWand};
 
 const char* StrategyName(RankStrategy s) {
   switch (s) {
@@ -94,8 +92,6 @@ const char* StrategyName(RankStrategy s) {
       return "taat";
     case RankStrategy::kWand:
       return "wand";
-    case RankStrategy::kHybrid:
-      return "hybrid";
   }
   return "?";
 }
@@ -264,44 +260,9 @@ TEST(StrategyTest, LoneContributorKeyedBoundSkipsWhereUnkeyedBoundCannot) {
             exhaustive_stats.postings_touched / 2);
 }
 
-// Hybrid work shape: the dense term is scored TAAT (no pivots), the
-// rare tail DAAT against the accumulator-seeded θ — pivot iterations
-// and cursor advances accrue, and total reads never exceed exhaustive.
-TEST(HybridTest, HybridAccruesPivotStatsAndNeverReadsMore) {
-  TextIndex index(RawOptions());
-  Rng rng(241);
-  for (int d = 0; d < 800; ++d) {
-    std::string body = "dense";  // df = 800: always above the rare cut
-    for (int w = 0; w < 19; ++w) {
-      body += StrFormat(" term%04zu", rng.Uniform(300));
-    }
-    if (d % 97 == 0) body += " needle";  // df ≈ 9: rare tail
-    index.AddDocument(StrFormat("doc%05d", d), body);
-  }
-  index.Flush();
-  FragmentedIndex fragments(&index, 1);
-
-  FragmentQueryStats exhaustive_stats;
-  std::vector<ScoredDoc> expected =
-      fragments.RankTopN({"dense", "needle"}, 10, 1, &exhaustive_stats);
-
-  RankOptions hybrid;
-  hybrid.prune = true;
-  hybrid.strategy = RankStrategy::kHybrid;
-  FragmentQueryStats hybrid_stats;
-  ExpectBitIdentical(
-      fragments.RankTopN({"dense", "needle"}, 10, 1, &hybrid_stats, hybrid),
-      expected, "hybrid dense+needle");
-  EXPECT_GT(hybrid_stats.pivot_iterations, 0u);
-  EXPECT_GT(hybrid_stats.cursor_advances, 0u);
-  EXPECT_LE(hybrid_stats.postings_touched, exhaustive_stats.postings_touched);
-  EXPECT_EQ(exhaustive_stats.pivot_iterations, 0u);
-}
-
-// The auto planner's contract is *which* evaluation runs, never what it
-// returns; spot-check its decisions through the work-stats shape.
-TEST(HybridTest, AutoPlannerPicksTaatForDenseAndDaatForRare) {
-  TextIndex index(RawOptions());
+// 800 documents that all hold "dense" (df 800, above the rare cut of
+// 800/32) and 9 that hold "needle" (df 9, below it).
+void BuildDenseNeedleIndex(TextIndex* index) {
   Rng rng(251);
   for (int d = 0; d < 800; ++d) {
     std::string body = "dense";
@@ -309,9 +270,16 @@ TEST(HybridTest, AutoPlannerPicksTaatForDenseAndDaatForRare) {
       body += StrFormat(" term%04zu", rng.Uniform(300));
     }
     if (d % 97 == 0) body += " needle";
-    index.AddDocument(StrFormat("doc%05d", d), body);
+    index->AddDocument(StrFormat("doc%05d", d), body);
   }
-  index.Flush();
+  index->Flush();
+}
+
+// The auto planner's contract is *which* evaluation runs, never what it
+// returns; spot-check its decisions through the work-stats shape.
+TEST(StrategyTest, AutoPlannerPicksTaatForDenseAndDaatForRare) {
+  TextIndex index(RawOptions());
+  BuildDenseNeedleIndex(&index);
   FragmentedIndex fragments(&index, 1);
 
   RankOptions auto_prune;
@@ -322,64 +290,77 @@ TEST(HybridTest, AutoPlannerPicksTaatForDenseAndDaatForRare) {
   fragments.RankTopN({"dense"}, 10, 1, &dense_stats, auto_prune);
   EXPECT_EQ(dense_stats.pivot_iterations, 0u);
 
-  // Dense + rare → hybrid: pivots over the rare tail only.
+  // Dense + rare → WAND: the rare list holds under 1/8 of the query's
+  // postings behind one dense cursor, so θ is set by the needle
+  // documents and the dense list gallops between them.
   FragmentQueryStats mixed_stats;
   fragments.RankTopN({"dense", "needle"}, 10, 1, &mixed_stats, auto_prune);
   EXPECT_GT(mixed_stats.pivot_iterations, 0u);
   EXPECT_LT(mixed_stats.pivot_iterations, 20u);  // df(needle) ≈ 9 pivots
 }
 
-// TSan target: hybrid under the cluster's shared atomic θ. Client
-// threads hammer one frozen cluster; the shared θ publication from the
-// hybrid TAAT phase and the DAAT rare pass must be race-free and
-// answer-invisible.
-TEST(HybridTest, ConcurrentSharedThetaHybridIsRaceFreeAndExact) {
-  ClusterIndex cluster(4, 4, RawOptions());
-  Rng rng(261);
-  ZipfSampler zipf(300, 1.1);
-  for (int d = 0; d < 400; ++d) {
-    std::string body;
-    for (int w = 0; w < 40; ++w) {
-      body += StrFormat("term%04zu ", zipf.Sample(&rng));
+// A top-n as deep as the corpus is planned TAAT however large n is: n
+// arrives from the wire unbounded, and a depth test that multiplies n
+// wraps for n ≥ 2^61 and plans such a query as a shallow one.
+TEST(StrategyTest, AutoPlannerPlansHugeNAsDeep) {
+  TextIndex index(RawOptions());
+  BuildDenseNeedleIndex(&index);
+  const std::vector<std::string> query = {"dense", "needle"};
+  const size_t huge_n = size_t{1} << 62;
+  RankOptions exhaustive;
+  exhaustive.kernel = ScoreKernel::kScalar;
+  const std::vector<ScoredDoc> expected =
+      index.RankTopN(query, huge_n, exhaustive);
+  ASSERT_EQ(expected.size(), 800u);  // every matching document
+
+  RankOptions auto_prune;
+  auto_prune.prune = true;  // strategy stays kAuto
+  RankStats stats;
+  ExpectBitIdentical(index.RankTopN(query, huge_n, auto_prune, &stats),
+                     expected, "n = 2^62");
+  EXPECT_EQ(stats.pivot_iterations, 0u);
+}
+
+// One term above the rare cut and four at it, the rare lists holding
+// a third of the query's postings: too heavy a rare tail for kWand
+// (rare·8 > total), so the planner scans it — kTaat, no pivots.
+TEST(StrategyTest, AutoPlannerScansHeavyRareTailBehindDenseTerm) {
+  constexpr int kDocs = 3200;  // rare cut: df ≤ 3200/32 = 100
+  TextIndex index(RawOptions());
+  Rng rng(271);
+  for (int d = 0; d < kDocs; ++d) {
+    std::string body = StrFormat("filler%02zu", rng.Uniform(50));
+    for (size_t w = rng.Uniform(12); w > 0; --w) {
+      body += StrFormat(" filler%02zu", rng.Uniform(50));
     }
-    cluster.AddDocument(StrFormat("doc%05d", d), body);
+    if (d % 4 == 0) body += " dense";  // df 800
+    // rare0..rare3: df 100 each, on disjoint documents.
+    if (d % 32 < 4) body += StrFormat(" rare%d", d % 32);
+    index.AddDocument(StrFormat("doc%05d", d), body);
   }
-  cluster.Finalize();
-  cluster.EnableParallelism(4);
-
-  auto queries = SeededQueries(12, 4, 300, 262);
-  std::vector<std::vector<ClusterScoredDoc>> expected;
-  for (const auto& q : queries) {
-    expected.push_back(cluster.Query(q, 10, 4));
+  index.Flush();
+  const std::vector<std::string> query = {"dense", "rare0", "rare1", "rare2",
+                                          "rare3"};
+  for (const std::string& word : query) {
+    const int32_t df = index.df(*index.LookupTerm(word));
+    EXPECT_EQ(df, word == "dense" ? 800 : kDocs / 32) << word;
   }
 
-  RankOptions shared_hybrid;
-  shared_hybrid.prune = true;
-  shared_hybrid.shared_threshold = true;
-  shared_hybrid.strategy = RankStrategy::kHybrid;
-
-  std::vector<std::thread> clients;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < 4; ++t) {
-    clients.emplace_back([&] {
-      for (size_t q = 0; q < queries.size(); ++q) {
-        std::vector<ClusterScoredDoc> got =
-            cluster.Query(queries[q], 10, 4, nullptr, shared_hybrid);
-        if (got.size() != expected[q].size()) {
-          ++failures;
-          continue;
-        }
-        for (size_t i = 0; i < got.size(); ++i) {
-          if (got[i].url != expected[q][i].url ||
-              got[i].score != expected[q][i].score) {
-            ++failures;
-          }
-        }
-      }
-    });
+  RankOptions exhaustive;
+  exhaustive.kernel = ScoreKernel::kScalar;
+  const std::vector<ScoredDoc> expected = index.RankTopN(query, 10, exhaustive);
+  ASSERT_EQ(expected.size(), 10u);
+  for (ScoreKernel kernel :
+       {ScoreKernel::kScalar, ScoreKernel::kBlock, ScoreKernel::kPacked}) {
+    RankOptions auto_prune;
+    auto_prune.prune = true;  // strategy stays kAuto
+    auto_prune.kernel = kernel;
+    RankStats stats;
+    ExpectBitIdentical(index.RankTopN(query, 10, auto_prune, &stats), expected,
+                       StrFormat("kernel %d", static_cast<int>(kernel)));
+    EXPECT_EQ(stats.pivot_iterations, 0u);
+    EXPECT_EQ(stats.postings_touched, 1200u);  // the whole scan
   }
-  for (std::thread& client : clients) client.join();
-  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

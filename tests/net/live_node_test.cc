@@ -109,7 +109,6 @@ std::vector<std::pair<std::string, ir::RankOptions>> Configs() {
       {"auto", ir::RankStrategy::kAuto},
       {"taat", ir::RankStrategy::kTaat},
       {"wand", ir::RankStrategy::kWand},
-      {"hybrid", ir::RankStrategy::kHybrid},
   };
   for (const auto& [kname, kernel] : kernels) {
     for (const auto& [sname, strategy] : strategies) {

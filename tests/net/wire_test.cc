@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -40,7 +41,7 @@ ir::ShardQuery MakeQuery(size_t variant) {
   q.options.lambda = kTrickyDoubles[(variant + 1) % 8];
   q.options.kernel = static_cast<ir::ScoreKernel>(variant % 3);
   q.options.prune = variant % 2 == 0;
-  q.options.strategy = static_cast<ir::RankStrategy>(variant % 4);
+  q.options.strategy = static_cast<ir::RankStrategy>(variant % 3);
   q.collection_length = static_cast<int64_t>(1) << 40;
   for (size_t i = 0; i < 11; ++i) {
     q.stems.push_back("stem" + std::to_string(variant) + std::to_string(i));
@@ -207,7 +208,7 @@ TEST(WireTest, SearchRequestRoundTrips) {
   request.options.lambda = kTrickyDoubles[2];
   request.options.kernel = ir::ScoreKernel::kPacked;
   request.options.prune = true;
-  request.options.strategy = ir::RankStrategy::kHybrid;
+  request.options.strategy = ir::RankStrategy::kWand;
   // An execution policy, not a wire field: must NOT survive the trip.
   request.options.shared_threshold = true;
 
@@ -229,6 +230,65 @@ TEST(WireTest, SearchRequestRoundTrips) {
   EXPECT_EQ(decoded.value().options.prune, request.options.prune);
   EXPECT_EQ(decoded.value().options.strategy, request.options.strategy);
   EXPECT_FALSE(decoded.value().options.shared_threshold);
+}
+
+// Offset of the kernel byte in a request body: RankOptions' bytes
+// (kernel, prune, strategy) follow the 8-byte encoding of lambda, which
+// the caller makes unique within the body.
+size_t KernelByteOffset(const uint8_t* body, size_t len, double lambda) {
+  uint8_t encoded[8];
+  const uint64_t bits = Bits(lambda);
+  for (int i = 0; i < 8; ++i) {
+    encoded[i] = static_cast<uint8_t>(bits >> (8 * i));
+  }
+  const uint8_t* at = std::search(body, body + len, encoded, encoded + 8);
+  EXPECT_NE(at, body + len) << "lambda not found in the body";
+  return static_cast<size_t>(at - body) + 8;
+}
+
+// The kernel and strategy bytes are bounded by their enums in both
+// request messages: byte 3 (one past the last kernel and the last
+// strategy) is corruption, not a value to remap.
+TEST(WireTest, OutOfRangeKernelAndStrategyBytesAreCorruption) {
+  const double lambda = kTrickyDoubles[2];
+  QueryRequest query;
+  query.node_id = 1;
+  query.queries.push_back(MakeQuery(0));  // threshold 0.0, not lambda
+  query.queries[0].options.lambda = lambda;
+  query.queries[0].options.kernel = ir::ScoreKernel::kPacked;
+  query.queries[0].options.strategy = ir::RankStrategy::kWand;
+  SearchRequest search;
+  search.words = {"digital", "library"};
+  search.options.lambda = lambda;
+  search.options.kernel = ir::ScoreKernel::kPacked;
+  search.options.strategy = ir::RankStrategy::kWand;
+
+  const std::vector<uint8_t> frames[] = {EncodeQueryRequest(query).value(),
+                                         EncodeSearchRequest(search).value()};
+  for (const std::vector<uint8_t>& frame : frames) {
+    MessageType type;
+    const uint8_t* body = nullptr;
+    size_t body_len = 0;
+    ASSERT_TRUE(DecodeFrame(frame, &type, &body, &body_len).ok());
+    auto decode = [type](const std::vector<uint8_t>& bytes) -> Status {
+      if (type == MessageType::kQueryRequest) {
+        return DecodeQueryRequest(bytes.data(), bytes.size()).status();
+      }
+      return DecodeSearchRequest(bytes.data(), bytes.size()).status();
+    };
+    const std::vector<uint8_t> valid(body, body + body_len);
+    ASSERT_TRUE(decode(valid).ok()) << static_cast<int>(type);
+    const size_t kernel_at = KernelByteOffset(body, body_len, lambda);
+    ASSERT_LT(kernel_at + 2, body_len);
+    ASSERT_EQ(valid[kernel_at], 2u);      // kPacked
+    ASSERT_EQ(valid[kernel_at + 2], 2u);  // kWand
+    for (size_t offset : {kernel_at, kernel_at + 2}) {
+      std::vector<uint8_t> bad = valid;
+      bad[offset] = 3;
+      EXPECT_EQ(decode(bad).code(), StatusCode::kCorruption)
+          << "message " << static_cast<int>(type) << " offset " << offset;
+    }
+  }
 }
 
 TEST(WireTest, SearchResponseRoundTripsAnswersAndSheds) {
