@@ -140,11 +140,11 @@ DfBuckets BucketTermsByDf(const ir::TextIndex& index) {
       static_cast<int32_t>(index.document_count() / ir::kRareDfDivisor);
   for (ir::TermId t = 0; t < index.vocabulary_size(); ++t) {
     if (index.df(t) > cut) {
-      buckets.dense.push_back(index.term(t));
+      buckets.dense.emplace_back(index.term(t));
     } else if (index.df(t) >= 8) {
-      buckets.rare.push_back(index.term(t));
+      buckets.rare.emplace_back(index.term(t));
       if (index.df(t) <= kNeedleMaxDf) {
-        buckets.needle.push_back(index.term(t));
+        buckets.needle.emplace_back(index.term(t));
       }
     }
   }

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"

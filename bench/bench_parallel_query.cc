@@ -113,7 +113,7 @@ std::vector<ir::ClusterScoredDoc> SeedStyleQuery(
               });
     if (local.size() > n) local.resize(n);
     for (const ir::ScoredDoc& d : local) {
-      merged.push_back({index.url(d.doc), d.score});
+      merged.push_back({std::string(index.url(d.doc)), d.score});
     }
   }
   std::sort(merged.begin(), merged.end(),

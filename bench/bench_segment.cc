@@ -9,20 +9,22 @@
 //               this process wrote earlier
 //
 // plus what serving from the mapping costs: bytes/posting on disk,
-// resident-set before and after queries, and first-touch ("cold",
-// page-cache-warm but mapping-cold — a disk-cold start would add I/O)
-// vs warmed query latency.
+// the heap a load allocates per document, resident-set before and
+// after queries, and first-touch ("cold", page-cache-warm but
+// mapping-cold — a disk-cold start would add I/O) vs warmed query
+// latency.
 //
 // Gated by ci/bench_gate.py: exact.* booleans (bit-identity of the
 // loaded index, byte-identical re-save, every sampled truncation
-// rejected), the 3.0 bytes/posting disk ceiling and the 10x
-// load-vs-rebuild speedup floor. Wall-clock leaves are reported but
-// not ratio-gated — a multi-minute build timing is too noisy for a
-// 15% window.
+// rejected), the 3.0 bytes/posting disk ceiling, the 10x
+// load-vs-rebuild speedup floor and the 16 bytes/document ceiling on
+// a load's heap. Wall-clock leaves are reported but not ratio-gated —
+// a multi-minute build timing is too noisy for a 15% window.
 //
 // DLS_SEGMENT_DOCS overrides the corpus size (CI smoke vs the full
 // million). Prints a human summary and writes machine-readable JSON
 // (default BENCH_segment.json, or argv[1]).
+#include <malloc.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -59,6 +61,13 @@ uint64_t ResidentSetBytes() {
   }
   std::fclose(f);
   return kb * 1024;
+}
+
+/// Bytes malloc has handed out and not taken back: in-use chunks plus
+/// the blocks it served straight from mmap (large vectors).
+uint64_t HeapInUseBytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
 }
 
 bool BitIdentical(const std::vector<ir::ScoredDoc>& a,
@@ -233,10 +242,17 @@ int main(int argc, char** argv) {
   // -- trusted load: the restart path, measured free of the heap -----
   ir::SegmentLoadOptions trusted;
   trusted.verify = false;
+  const uint64_t heap_before_load = HeapInUseBytes();
   Timer trusted_timer;
   Result<std::unique_ptr<ir::TextIndex>> mapped =
       ir::TextIndex::LoadFromSegment(segment_path, trusted);
   const double load_trusted_s = trusted_timer.ElapsedSeconds();
+  // What the loaded index keeps on the heap, per document: everything
+  // else it serves from the mapping.
+  const double load_heap_bytes_per_doc =
+      (static_cast<double>(HeapInUseBytes()) -
+       static_cast<double>(heap_before_load)) /
+      static_cast<double>(spec.documents);
   if (!mapped.ok()) {
     std::fprintf(stderr, "trusted load: %s\n",
                  mapped.status().ToString().c_str());
@@ -272,7 +288,8 @@ int main(int argc, char** argv) {
       "  load         %8.3f s   (verify everything)   %7.0fx vs rebuild\n"
       "  load(trust)  %8.3f s   (verify=false)        %7.0fx vs rebuild\n\n"
       "  disk    %.2f bytes/posting (postings sections), %.2f whole file\n"
-      "  memory  heap %.1f MB resident | mapped %.1f MB + %.2f MB resident\n"
+      "  memory  heap %.1f MB resident | mapped %.1f MB + %.2f MB resident"
+      " (load heap %.1f B/doc)\n"
       "  rss     heap %.1f MB | mapped cold %.1f MB -> warm %.1f MB\n"
       "  query   heap %.0f us | mmap first-touch %.0f us -> warm %.0f us\n\n"
       "exact: bit_identical=%s resave_byte_identical=%s "
@@ -281,8 +298,8 @@ int main(int argc, char** argv) {
       info.value().file_bytes / 1e6, load_verified_s, speedup, load_trusted_s,
       speedup_trusted, bytes_per_posting_disk, file_bytes_per_posting,
       heap_resident / 1e6, bytes_mapped / 1e6, mapped_resident / 1e6,
-      rss_heap / 1e6, rss_mapped_cold / 1e6, rss_mapped_warm / 1e6,
-      heap_warm_us, mmap_cold_us, mmap_warm_us,
+      load_heap_bytes_per_doc, rss_heap / 1e6, rss_mapped_cold / 1e6,
+      rss_mapped_warm / 1e6, heap_warm_us, mmap_cold_us, mmap_warm_us,
       bit_identical ? "true" : "false", resave_identical ? "true" : "false",
       truncations_rejected ? "true" : "false");
 
@@ -319,7 +336,8 @@ int main(int argc, char** argv) {
       "    \"bytes_mapped\": %llu,\n"
       "    \"rss_heap_bytes\": %llu,\n"
       "    \"rss_mapped_cold_bytes\": %llu,\n"
-      "    \"rss_mapped_warm_bytes\": %llu\n"
+      "    \"rss_mapped_warm_bytes\": %llu,\n"
+      "    \"load_heap_bytes_per_doc\": %.2f\n"
       "  },\n"
       "  \"latency\": {\"heap_warm_us\": %.1f, \"mmap_cold_us\": %.1f, "
       "\"mmap_warm_us\": %.1f},\n"
@@ -338,7 +356,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(bytes_mapped),
       static_cast<unsigned long long>(rss_heap),
       static_cast<unsigned long long>(rss_mapped_cold),
-      static_cast<unsigned long long>(rss_mapped_warm), heap_warm_us,
+      static_cast<unsigned long long>(rss_mapped_warm),
+      load_heap_bytes_per_doc, heap_warm_us,
       mmap_cold_us, mmap_warm_us, bit_identical ? "true" : "false",
       resave_identical ? "true" : "false",
       truncations_rejected ? "true" : "false");

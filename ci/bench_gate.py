@@ -20,6 +20,12 @@ A metric fails the gate when it regresses by more than --threshold
                        by an order of magnitude (the ratio is machine-
                        independent enough to gate; the raw seconds are
                        not, so they stay ungated)
+  memory.load_heap_bytes_per_doc  hard ceiling of 16 — a loaded
+                       segment serves its URLs, stems, postings and
+                       document tables from the mapping, so the heap a
+                       load allocates is a 4-byte URL offset per
+                       document plus per-term objects. malloc's own
+                       in-use count, not a timing, so no retry
   speedups.prune_vs_block  floor of 1.0 — the auto-planned pruned
                        evaluation must win wall-clock against the
                        exhaustive block scan, not just touch fewer
@@ -104,6 +110,9 @@ SHED_RATE_FLOOR = 0.02
 # magnitude, or persistence is not paying its way.
 DISK_BYTES_PER_POSTING_CEILING = 3.0
 LOAD_SPEEDUP_FLOOR = 10.0
+# ...and a loaded segment must not copy what the mapping holds: its heap
+# per document stays a small constant, whatever the URLs' length.
+LOAD_HEAP_BYTES_PER_DOC_CEILING = 16.0
 # Pruning must pay for itself in wall-clock, not only in work counters.
 # A timing ratio (both sides measured in the same run), so a miss is
 # retryable, unlike the deterministic floors above.
@@ -221,6 +230,12 @@ def compare(name, baseline, fresh, threshold):
         hard.append(
             f"{name}: cold_start.speedup_load_vs_rebuild {speedup:.1f}x "
             f"below the {LOAD_SPEEDUP_FLOOR:.0f}x floor")
+    load_heap = fresh_flat.get("memory.load_heap_bytes_per_doc")
+    if load_heap is not None and load_heap > LOAD_HEAP_BYTES_PER_DOC_CEILING:
+        hard.append(
+            f"{name}: memory.load_heap_bytes_per_doc {load_heap:.1f} above "
+            f"the {LOAD_HEAP_BYTES_PER_DOC_CEILING:.0f} ceiling — the "
+            f"loader copies what the mapping holds")
     prune_speedup = fresh_flat.get("speedups.prune_vs_block")
     if prune_speedup is not None and prune_speedup < PRUNE_VS_BLOCK_FLOOR:
         timing.append(

@@ -448,7 +448,7 @@ std::vector<std::string> TextBackend::DocsOfEntities(
     const size_t e = FindEntity(id);
     if (e == static_cast<size_t>(-1)) continue;
     for (const DocRef& ref : entity_docs_[e]) {
-      urls.push_back(cluster_->node_index(ref.node).url(ref.doc));
+      urls.emplace_back(cluster_->node_index(ref.node).url(ref.doc));
     }
   }
   std::sort(urls.begin(), urls.end());

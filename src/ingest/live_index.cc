@@ -124,7 +124,7 @@ LiveIndex::Snapshot::EffectiveDfTable() const {
   for (const std::shared_ptr<const Part>& p : parts_) {
     const size_t vocab = p->index->vocabulary_size();
     for (ir::TermId t = 0; t < vocab; ++t) {
-      table[p->index->term(t)] += p->index->df(t);
+      table[std::string(p->index->term(t))] += p->index->df(t);
     }
   }
   for (const auto& [stem, minus] : *df_minus_) {
@@ -200,7 +200,8 @@ std::vector<LiveScoredDoc> LiveIndex::Snapshot::Query(
     if (stats != nullptr) AddRankStats(part_stats, stats);
     for (const ir::ScoredDoc& d : top) {
       out.push_back(LiveScoredDoc{part.global_id(d.doc),
-                                  part.index->url(d.doc), d.score});
+                                  std::string(part.index->url(d.doc)),
+                                  d.score});
     }
   }
 

@@ -75,7 +75,7 @@ void ClusterIndex::Finalize() {
     global_.collection_length += node.index->collection_length();
     global_.node_docs.push_back(node.index->document_count());
     for (TermId t = 0; t < node.index->vocabulary_size(); ++t) {
-      global_.df[node.index->term(t)] += node.index->df(t);
+      global_.df[std::string(node.index->term(t))] += node.index->df(t);
     }
   }
   finalized_ = true;
@@ -189,7 +189,8 @@ ShardResult EvaluateShardQuery(const TextIndex& index,
   result.cursor_advances = rank_stats.cursor_advances;
   result.top.reserve(local.size());
   for (const ScoredDoc& d : local) {
-    result.top.push_back(ClusterScoredDoc{index.url(d.doc), d.score});
+    result.top.push_back(
+        ClusterScoredDoc{std::string(index.url(d.doc)), d.score});
   }
   result.elapsed_us = timer.ElapsedSeconds() * 1e6;
   return result;

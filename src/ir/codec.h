@@ -50,6 +50,27 @@ inline const uint8_t* DecodeVarint(const uint8_t* p, uint32_t* value) {
   return p;
 }
 
+/// DecodeVarint for untrusted bytes: cannot read past `end`, cannot
+/// overflow uint32_t, and rejects encodings longer than 5 bytes.
+/// Returns null on malformed input. The hot-path DecodeVarint stays
+/// unchecked; this one runs once per load to certify the bytes the
+/// unchecked decoder will later stream through.
+inline const uint8_t* CheckedVarint32(const uint8_t* p, const uint8_t* end,
+                                      uint32_t* out) {
+  uint32_t v = 0;
+  for (int shift = 0; shift <= 28; shift += 7) {
+    if (p == end) return nullptr;
+    const uint8_t byte = *p++;
+    if (shift == 28 && (byte & 0xf0u) != 0) return nullptr;  // > 32 bits
+    v |= static_cast<uint32_t>(byte & 0x7fu) << shift;
+    if ((byte & 0x80u) == 0) {
+      *out = v;
+      return p;
+    }
+  }
+  return nullptr;
+}
+
 /// The packed form of one posting list: two byte streams (delta/varint
 /// doc ids, escape-coded tfs) plus per-block start offsets so any
 /// block decodes independently of the ones before it.

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
-#include <limits>
 #include <string_view>
 
 #include "common/mmap.h"
@@ -40,22 +39,21 @@ std::optional<std::string> TextIndex::NormalizeWord(
   return NormalizeWordAs(word, options_.stem, options_.stop);
 }
 
-TermId TextIndex::InternTerm(const std::string& stem) {
-  const auto [it, added] =
-      term_ids_.try_emplace(stem, static_cast<TermId>(terms_.size()));
-  if (added) {
-    terms_.push_back(stem);
-    postings_.emplace_back();
-    df_.push_back(0);
+TermId TextIndex::InternTerm(std::string_view stem) {
+  const size_t hash = std::hash<std::string_view>{}(stem);
+  if (const std::optional<uint32_t> term = terms_.Find(stem, hash)) {
+    return *term;
   }
-  return it->second;
+  postings_.emplace_back();
+  df_.push_back(0);
+  return terms_.Insert(stem, hash);
 }
 
 DocId TextIndex::AddDocument(std::string_view url, std::string_view text) {
   assert(segment_ == nullptr &&
          "an index loaded from a segment is immutable");
   DocId doc = static_cast<DocId>(urls_.size());
-  urls_.emplace_back(url);
+  urls_.Append(url);
   doc_lengths_.push_back(0);
   inv_doc_lengths_.push_back(0.0);
 
@@ -65,14 +63,18 @@ DocId TextIndex::AddDocument(std::string_view url, std::string_view text) {
   const size_t begin = pending_counts_.size();
   ForEachToken(text, [&](std::string_view token) {
     const size_t hash = std::hash<std::string_view>{}(token);
-    const TermId* memo = token_terms_.Find(token, hash);
     TermId term;
-    if (memo != nullptr) {
-      term = *memo;
+    if (const std::optional<uint32_t> seen = memo_tokens_.Find(token, hash)) {
+      term = memo_terms_[*seen];
     } else {
       std::optional<std::string> norm = NormalizeWord(token);
       term = norm ? InternTerm(*norm) : kInvalidTerm;
-      token_terms_.Insert(token, hash, term);
+      // Past the memo's 4 GiB ceiling a batch stops memoising: a token
+      // the memo lacks is normalised afresh, which is always correct.
+      if (memo_tokens_.fits(token.size())) {
+        memo_tokens_.Insert(token, hash);
+        memo_terms_.push_back(term);
+      }
     }
     if (term != kInvalidTerm) pending_counts_.emplace_back(term, 1);
   });
@@ -127,7 +129,8 @@ void TextIndex::Flush() {
   // flushed index holds nothing beyond its relations.
   std::vector<PendingDoc>().swap(pending_);
   std::vector<std::pair<TermId, int32_t>>().swap(pending_counts_);
-  token_terms_.Release();
+  memo_tokens_.Release();
+  std::vector<TermId>().swap(memo_terms_);
   // Pack the postings this flush appended (Pack() encodes only those,
   // FinalizeBlockBounds only keys blocks the flush grew), so a frozen
   // index is always packed and always carries the block-max score keys
@@ -138,74 +141,13 @@ void TextIndex::Flush() {
   }
 }
 
-const TermId* TextIndex::TokenMemo::Find(std::string_view token,
-                                        size_t hash) const {
-  if (slots_.empty()) return nullptr;
-  const size_t mask = slots_.size() - 1;
-  const uint32_t tag = static_cast<uint32_t>(hash);
-  for (size_t i = tag & mask;; i = (i + 1) & mask) {
-    const Slot& slot = slots_[i];
-    if (slot.key == 0) return nullptr;
-    if (slot.hash == tag && Key(slot.key) == token) return &slot.term;
-  }
-}
-
-void TextIndex::TokenMemo::Insert(std::string_view token, size_t hash,
-                                  TermId term) {
-  // Past 2^32 - 1 distinct tokens a batch stops memoising: a token the
-  // memo lacks is normalised afresh, which is always correct.
-  if (key_ends_.size() >= std::numeric_limits<uint32_t>::max()) return;
-  if (2 * (key_ends_.size() + 1) > slots_.size()) Grow();
-  keys_.append(token);
-  key_ends_.push_back(keys_.size());
-  const size_t mask = slots_.size() - 1;
-  const uint32_t tag = static_cast<uint32_t>(hash);
-  size_t i = tag & mask;
-  while (slots_[i].key != 0) i = (i + 1) & mask;
-  slots_[i] = Slot{tag, static_cast<uint32_t>(key_ends_.size()), term};
-}
-
-std::string_view TextIndex::TokenMemo::Key(uint32_t key) const {
-  const size_t begin = key == 1 ? 0 : key_ends_[key - 2];
-  return std::string_view(keys_).substr(begin, key_ends_[key - 1] - begin);
-}
-
-void TextIndex::TokenMemo::Grow() {
-  std::vector<Slot> grown(std::max<size_t>(64, 2 * slots_.size()));
-  const size_t mask = grown.size() - 1;
-  for (const Slot& slot : slots_) {
-    if (slot.key == 0) continue;
-    size_t i = slot.hash & mask;
-    while (grown[i].key != 0) i = (i + 1) & mask;
-    grown[i] = slot;
-  }
-  slots_.swap(grown);
-}
-
-void TextIndex::TokenMemo::Release() {
-  std::vector<Slot>().swap(slots_);
-  std::string().swap(keys_);
-  std::vector<size_t>().swap(key_ends_);
-}
-
 void TextIndex::ReleaseUnpackedPostings() {
   assert(pending_.empty() && "Flush() before ReleaseUnpackedPostings()");
   for (PostingList& list : postings_) list.ReleaseUnpackedPayload();
 }
 
 size_t TextIndex::bytes_resident() const {
-  // Approximate: vector capacities plus string heap allocations (SSO
-  // strings counted at sizeof only) plus a flat per-entry estimate for
-  // the unordered_map nodes. Good to a few percent, which is all the
-  // heap-vs-mmap split needs.
-  auto string_bytes = [](const std::string& s) {
-    return sizeof(std::string) +
-           (s.capacity() > sizeof(std::string) ? s.capacity() : 0);
-  };
-  size_t bytes = 0;
-  for (const std::string& t : terms_) bytes += string_bytes(t);
-  for (const std::string& u : urls_) bytes += string_bytes(u);
-  bytes += term_ids_.size() * 64;  // node + bucket estimate
+  size_t bytes = terms_.bytes_resident() + urls_.bytes_resident();
   for (const PostingList& list : postings_) {
     bytes += sizeof(PostingList) + list.resident_byte_size();
   }
@@ -220,10 +162,7 @@ size_t TextIndex::bytes_mapped() const {
 }
 
 std::optional<TermId> TextIndex::LookupTerm(std::string_view stem) const {
-  // Heterogeneous lookup: no std::string temporary per probe.
-  auto it = term_ids_.find(stem);
-  if (it == term_ids_.end()) return std::nullopt;
-  return it->second;
+  return terms_.Find(stem, std::hash<std::string_view>{}(stem));
 }
 
 double TermScore(int32_t tf, int32_t df, int64_t doclen,

@@ -7,12 +7,12 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "ir/postings.h"
+#include "ir/string_column.h"
 
 namespace dls {
 class MappedFile;
@@ -20,9 +20,9 @@ class MappedFile;
 
 namespace dls::ir {
 
-/// Heterogeneous (transparent) string hasher: lets the T-relation
-/// reverse map answer string_view lookups without materialising a
-/// std::string per probe.
+/// Heterogeneous (transparent) string hasher: lets a std::string-keyed
+/// map (the cluster-wide df tables) answer string_view lookups without
+/// materialising a std::string per probe.
 struct TransparentStringHash {
   using is_transparent = void;
   size_t operator()(std::string_view s) const noexcept {
@@ -256,7 +256,9 @@ class TextIndex {
   TextIndex();
   explicit TextIndex(Options options);
 
-  /// Registers a document body under `url`; returns its doc id.
+  /// Registers a document body under `url`; returns its doc id. The
+  /// URLs, and separately the distinct stems, of one index must encode
+  /// to less than 4 GiB (their offsets are 32-bit; asserted).
   DocId AddDocument(std::string_view url, std::string_view text);
 
   /// Folds all buffered documents into the relations. Also (re)packs
@@ -284,10 +286,12 @@ class TextIndex {
   Status FlushToDisk(const std::string& path) const;
 
   /// Maps a segment written by FlushToDisk() and serves straight from
-  /// the mapping: posting payloads, block offsets/metadata and the
-  /// per-document length tables stay in the file (borrowed-bytes mode,
-  /// see PostingList::AdoptPackedView); only the term dictionary and
-  /// URL table are materialised on the heap. The loaded index is
+  /// the mapping: posting payloads, block offsets/metadata, the
+  /// per-document length tables and the D and T entries' bytes stay in
+  /// the file (borrowed-bytes mode, see PostingList::AdoptPackedView
+  /// and StringColumn::Borrow). The heap holds only what the file does
+  /// not: one PostingList per term, df, a 4-byte offset per URL and
+  /// per stem, and the stem -> term-oid table. The loaded index is
   /// frozen: AddDocument/Flush are programming errors (assert).
   /// Corrupt or truncated files are rejected with kCorruption (or
   /// kUnsupported for a format this build cannot read) before any
@@ -298,9 +302,11 @@ class TextIndex {
   /// True when this index serves from an mmap'd segment.
   bool loaded_from_segment() const { return segment_ != nullptr; }
 
-  /// Approximate heap footprint of the index structures this object
-  /// owns (posting payloads until released, packed sidecars, term and
-  /// URL tables, document stats). Borrowed segment bytes are excluded.
+  /// Heap footprint of the index structures this object owns, by
+  /// capacity: posting payloads until released, packed sidecars, the D
+  /// and T arenas with their offsets and the stem table, document
+  /// stats. Borrowed segment bytes are excluded, so a loaded index
+  /// counts its URLs and stems at 4 bytes each, whatever their length.
   size_t bytes_resident() const;
   /// Bytes of the backing segment mapping (0 for heap-built indexes).
   /// Resident-on-demand: the kernel pages them in on first touch and
@@ -317,10 +323,14 @@ class TextIndex {
 
   /// T-relation lookup: stem -> term oid.
   std::optional<TermId> LookupTerm(std::string_view stem) const;
-  const std::string& term(TermId t) const { return terms_[t]; }
-  size_t vocabulary_size() const { return terms_.size(); }
 
-  const std::string& url(DocId d) const { return urls_[d]; }
+  /// The T and D entries. A view stays valid until the next
+  /// AddDocument() on a heap-built index (which may grow the arena it
+  /// points into), and for the index's life once it is frozen or
+  /// loaded from a segment. Copy it to keep it past that.
+  std::string_view term(TermId t) const { return terms_[t]; }
+  size_t vocabulary_size() const { return terms_.size(); }
+  std::string_view url(DocId d) const { return urls_[d]; }
   size_t document_count() const { return urls_.size(); }
   size_t flushed_document_count() const { return flushed_docs_; }
 
@@ -386,17 +396,15 @@ class TextIndex {
                                   RankStats* stats) const;
 
  private:
-  TermId InternTerm(const std::string& stem);
+  TermId InternTerm(std::string_view stem);
 
   Options options_;
 
-  std::vector<std::string> terms_;  // T
-  /// T reverse; transparent hash+equality so string_view lookups never
-  /// copy the stem.
-  std::unordered_map<std::string, TermId, TransparentStringHash,
-                     std::equal_to<>>
-      term_ids_;
-  std::vector<std::string> urls_;    // D
+  /// T and D in their segment encoding (ir/string_column.h): an owned
+  /// arena on a heap-built index, borrowed section bytes on a loaded
+  /// one, so FlushToDisk writes either as it is.
+  StringDictionary terms_;             // T, with stem -> term oid
+  StringColumn urls_;                  // D
   std::vector<PostingList> postings_;  // DT ⋈ TF, block-structured SoA
   std::vector<int32_t> df_;            // IDF source
   std::vector<int64_t> doc_lengths_;
@@ -413,35 +421,6 @@ class TextIndex {
   /// in the posting lists. Null for heap-built indexes.
   std::shared_ptr<MappedFile> segment_;
 
-  /// Normalisation memo of the pending batch: an open-addressing table
-  /// from a raw lowercased token to its term id, or kInvalidTerm for a
-  /// token normalisation drops (a stopword). The keys share one byte
-  /// arena, so filling the memo allocates only when an array grows and
-  /// freeing it releases three buffers, however many tokens it holds.
-  class TokenMemo {
-   public:
-    /// The memoised term of `token` (whose std::hash<string_view> is
-    /// `hash`), or nullptr when the batch has not seen it.
-    const TermId* Find(std::string_view token, size_t hash) const;
-    /// Records `token`, which Find() did not hold.
-    void Insert(std::string_view token, size_t hash, TermId term);
-    /// Frees every buffer.
-    void Release();
-
-   private:
-    struct Slot {
-      uint32_t hash = 0;  // low 32 bits of the token's hash
-      uint32_t key = 0;   // 1 + the token's index in key_ends_; 0: empty
-      TermId term = kInvalidTerm;
-    };
-    std::string_view Key(uint32_t key) const;
-    void Grow();
-
-    std::vector<Slot> slots_;  // power-of-two size, at most half full
-    std::string keys_;         // the tokens, back to back
-    std::vector<size_t> key_ends_;  // end of each token in keys_
-  };
-
   /// Documents awaiting Flush(): document i's distinct terms, ascending,
   /// each with its tf, are pending_counts_[pending_[i-1].counts_end,
   /// pending_[i].counts_end).
@@ -451,9 +430,13 @@ class TextIndex {
   };
   std::vector<PendingDoc> pending_;
   std::vector<std::pair<TermId, int32_t>> pending_counts_;
-  /// Freed by Flush() together with the pending documents, so a flushed
-  /// index holds no memo.
-  TokenMemo token_terms_;
+  /// Normalisation memo of the pending batch: raw lowercased token i of
+  /// memo_tokens_ maps to memo_terms_[i], its term id or kInvalidTerm
+  /// for a token normalisation drops (a stopword). Filling the memo
+  /// allocates only when a buffer grows, and Flush() frees it together
+  /// with the pending documents, so a flushed index holds no memo.
+  StringDictionary memo_tokens_;
+  std::vector<TermId> memo_terms_;
 };
 
 /// Scores one (tf, df, doclen) triple under the Hiemstra-derived model:

@@ -1,10 +1,16 @@
 #include "ir/segment.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/checksum.h"
@@ -229,17 +235,6 @@ class SectionWriter {
     return SectionEntry{section_begin_, pos_ - section_begin_, crc_.value()};
   }
 
-  void AppendVarint32(uint32_t v) {
-    uint8_t buf[5];
-    size_t n = 0;
-    while (v >= 0x80u) {
-      buf[n++] = static_cast<uint8_t>(v | 0x80u);
-      v >>= 7;
-    }
-    buf[n++] = static_cast<uint8_t>(v);
-    Append(buf, n);
-  }
-
   uint64_t pos() const { return pos_; }
   bool ok() const { return ok_; }
 
@@ -257,28 +252,36 @@ class SectionWriter {
   bool ok_ = true;
 };
 
-// ---- hostile-input helpers -----------------------------------------
+// ---- atomic publish -------------------------------------------------
 
-/// Varint decoder that cannot read past `end`, cannot overflow
-/// uint32_t, and rejects encodings longer than 5 bytes. Returns null
-/// on malformed input. The hot-path DecodeVarint stays unchecked; this
-/// one runs once per load to certify the bytes the unchecked decoder
-/// will later stream through.
-const uint8_t* CheckedVarint32(const uint8_t* p, const uint8_t* end,
-                               uint32_t* out) {
-  uint32_t v = 0;
-  for (int shift = 0; shift <= 28; shift += 7) {
-    if (p == end) return nullptr;
-    const uint8_t byte = *p++;
-    if (shift == 28 && (byte & 0xf0u) != 0) return nullptr;  // > 32 bits
-    v |= static_cast<uint32_t>(byte & 0x7fu) << shift;
-    if ((byte & 0x80u) == 0) {
-      *out = v;
-      return p;
+/// Creates a new file beside `path` for writing and names it in
+/// `*tmp`. The name carries the process id and a per-process counter,
+/// and O_EXCL refuses a name a crashed writer left behind, so no two
+/// writers share a temp file. Mode 0666 lets the umask apply as it did
+/// for fopen (mkstemp would make the segment 0600). Null when no file
+/// can be created.
+std::FILE* CreateTempBeside(const std::string& path, std::string* tmp) {
+  static std::atomic<uint64_t> next{0};
+  for (int attempt = 0; attempt < 16; ++attempt) {
+    *tmp = StrFormat("%s.tmp-%ld-%llu", path.c_str(),
+                     static_cast<long>(::getpid()),
+                     static_cast<unsigned long long>(next.fetch_add(1)));
+    const int fd =
+        ::open(tmp->c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (fd >= 0) {
+      std::FILE* f = ::fdopen(fd, "wb");
+      if (f == nullptr) {
+        ::close(fd);
+        std::remove(tmp->c_str());
+      }
+      return f;
     }
+    if (errno != EEXIST) return nullptr;
   }
   return nullptr;
 }
+
+// ---- hostile-input helpers -----------------------------------------
 
 /// One parsed per-term record (section 4).
 struct TermRecord {
@@ -441,10 +444,21 @@ Status TextIndex::FlushToDisk(const std::string& path) const {
     h.total_blocks += list.num_blocks();
   }
 
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  // Publish atomically: write a temp file beside `path`, then rename(2)
+  // it over `path`. A reader still mapping an older file at `path`
+  // keeps that file's bytes, instead of seeing it truncated and
+  // rewritten under its borrowed views. On any error only the temp file
+  // is removed.
+  std::string tmp;
+  std::FILE* f = CreateTempBeside(path, &tmp);
   if (f == nullptr) {
-    return Status::Internal("cannot create '" + path + "'");
+    return Status::Internal("cannot create a temp file beside '" + path + "'");
   }
+  auto fail = [&](const std::string& what) {
+    if (f != nullptr) std::fclose(f);
+    std::remove(tmp.c_str());
+    return Status::Internal(what);
+  };
 
   // Reserve the prefix; the real header + table are written last, once
   // every section's offset, length and CRC is known.
@@ -453,20 +467,13 @@ Status TextIndex::FlushToDisk(const std::string& path) const {
   SectionWriter w(f, 0);
   w.Append(prefix.data(), prefix.size());
 
-  // 0: term dictionary.
+  // 0/1: term dictionary and document URLs. Both columns already hold
+  // their section's encoding, owned or borrowed, so they go out as is.
   w.BeginSection();
-  for (const std::string& term : terms_) {
-    w.AppendVarint32(static_cast<uint32_t>(term.size()));
-    w.Append(term.data(), term.size());
-  }
+  w.Append(terms_.column().data(), terms_.column().byte_size());
   table[kSectionTermDict] = w.EndSection();
-
-  // 1: document URLs.
   w.BeginSection();
-  for (const std::string& url : urls_) {
-    w.AppendVarint32(static_cast<uint32_t>(url.size()));
-    w.Append(url.data(), url.size());
-  }
+  w.Append(urls_.data(), urls_.byte_size());
   table[kSectionDocUrls] = w.EndSection();
 
   // 2/3: per-document length tables, raw (the loader serves these by
@@ -539,24 +546,20 @@ Status TextIndex::FlushToDisk(const std::string& path) const {
   }
   table[kSectionTfBytes] = w.EndSection();
 
-  if (!w.ok()) {
-    std::fclose(f);
-    std::remove(path.c_str());
-    return Status::Internal("short write to '" + path + "'");
-  }
+  if (!w.ok()) return fail("short write to '" + tmp + "'");
 
   // Now the real prefix.
   prefix = EncodePrefix(h, table);
   if (std::fseek(f, 0, SEEK_SET) != 0 ||
       std::fwrite(prefix.data(), 1, prefix.size(), f) != prefix.size() ||
       std::fflush(f) != 0) {
-    std::fclose(f);
-    std::remove(path.c_str());
-    return Status::Internal("cannot finalise '" + path + "'");
+    return fail("cannot finalise '" + tmp + "'");
   }
-  if (std::fclose(f) != 0) {
-    std::remove(path.c_str());
-    return Status::Internal("cannot close '" + path + "'");
+  const int closed = std::fclose(f);
+  f = nullptr;  // closed either way
+  if (closed != 0) return fail("cannot close '" + tmp + "'");
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return fail("cannot rename '" + tmp + "' over '" + path + "'");
   }
   return Status::Ok();
 }
@@ -608,61 +611,22 @@ Result<std::unique_ptr<TextIndex>> TextIndex::LoadFromSegment(
     }
   }
 
-  // Structural ceilings before any allocation is sized from the
-  // header: each dictionary/url entry takes at least one byte, so a
-  // hostile doc_count/vocabulary cannot out-size its own section.
-  if (h.vocabulary > table[kSectionTermDict].length ||
-      h.doc_count > table[kSectionDocUrls].length) {
-    return Status::Corruption("entry counts exceed section sizes");
-  }
-  if (h.doc_count > uint64_t{1} << 32) {
-    return Status::Corruption("doc_count exceeds 32-bit doc id space");
-  }
-
   Options options;
   options.stem = (h.flags & kFlagStem) != 0;
   options.stop = (h.flags & kFlagStop) != 0;
   auto index = std::make_unique<TextIndex>(options);
 
-  // 0: term dictionary → materialised T relation + reverse map.
-  {
-    const uint8_t* p = base + table[kSectionTermDict].offset;
-    const uint8_t* end = p + table[kSectionTermDict].length;
-    index->terms_.reserve(h.vocabulary);
-    index->term_ids_.reserve(h.vocabulary);
-    for (uint64_t t = 0; t < h.vocabulary; ++t) {
-      uint32_t len;
-      p = CheckedVarint32(p, end, &len);
-      if (p == nullptr || len > static_cast<size_t>(end - p)) {
-        return Status::Corruption("term dictionary truncated");
-      }
-      index->terms_.emplace_back(reinterpret_cast<const char*>(p), len);
-      const bool inserted =
-          index->term_ids_
-              .emplace(index->terms_.back(), static_cast<TermId>(t))
-              .second;
-      if (!inserted) return Status::Corruption("duplicate term in dictionary");
-      p += len;
-    }
-    if (p != end) return Status::Corruption("term dictionary trailing bytes");
-  }
-
-  // 1: document URLs → materialised D relation.
-  {
-    const uint8_t* p = base + table[kSectionDocUrls].offset;
-    const uint8_t* end = p + table[kSectionDocUrls].length;
-    index->urls_.reserve(h.doc_count);
-    for (uint64_t d = 0; d < h.doc_count; ++d) {
-      uint32_t len;
-      p = CheckedVarint32(p, end, &len);
-      if (p == nullptr || len > static_cast<size_t>(end - p)) {
-        return Status::Corruption("url table truncated");
-      }
-      index->urls_.emplace_back(reinterpret_cast<const char*>(p), len);
-      p += len;
-    }
-    if (p != end) return Status::Corruption("url table trailing bytes");
-  }
+  // 0/1: term dictionary and document URLs, borrowed. The walk that
+  // validates every entry (and refuses a count the section cannot
+  // hold before sizing anything from it) builds the offsets, and for T
+  // the stem table. A URL section under 4 GiB also keeps doc_count
+  // inside the 32-bit doc id space.
+  DLS_RETURN_IF_ERROR(index->terms_.Borrow(
+      base + table[kSectionTermDict].offset, table[kSectionTermDict].length,
+      h.vocabulary, "term dictionary"));
+  DLS_RETURN_IF_ERROR(index->urls_.Borrow(
+      base + table[kSectionDocUrls].offset, table[kSectionDocUrls].length,
+      h.doc_count, "url table"));
 
   // 2/3: per-document tables, borrowed straight from the mapping.
   if (table[kSectionDocLengths].length != h.doc_count * sizeof(int64_t) ||

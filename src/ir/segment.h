@@ -49,13 +49,21 @@ namespace dls::ir {
 /// indexes and byte offsets are running sums), which the loader
 /// enforces — a record pointing anywhere unexpected is kCorruption.
 ///
-/// Serving: sections 2/3/5/6/7/8 are *borrowed* — the loaded index
+/// Serving: every section but the term records (4), which are parsed
+/// into the per-term PostingLists, is *borrowed* — the loaded index
 /// keeps raw pointers into the mapping (PostingList::AdoptPackedView)
-/// and the OS pages bytes in on first touch. Sections 0/1 are
-/// materialised (the dictionary needs its hash map anyway). The file
-/// stores the same packed bytes the heap sidecar holds, so rankings
-/// are bit-identical across heap-built, released and mmap-loaded
-/// indexes.
+/// and the OS pages bytes in on first touch. Sections 0/1 are served
+/// through a StringColumn (ir/string_column.h): the load's validation
+/// walk builds a 4-byte offset per entry, and for section 0 the stem
+/// -> term-oid table, while the entries' bytes stay in the file. A
+/// heap-built index keeps D and T in the same encoding, so the writer
+/// copies both sections as they are. The file stores the same packed
+/// bytes the heap sidecar holds, so rankings are bit-identical across
+/// heap-built, released and mmap-loaded indexes.
+///
+/// Publishing: FlushToDisk() writes a temp file beside the target and
+/// rename(2)s it over the target, so a process still serving an older
+/// file at that path keeps reading that file's bytes.
 ///
 /// Integrity: the header carries a CRC of itself and one of the
 /// section table; the table carries a CRC per section. A verifying

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -131,6 +132,46 @@ void RecomputeCrcs(std::vector<uint8_t>* bytes) {
            Crc32::Of(bytes->data() + kSegmentHeaderBytes,
                      kSegmentSectionCount * kSegmentSectionEntryBytes));
   PutU32At(bytes, 80, Crc32::Of(bytes->data(), 80));
+}
+
+/// Appends `tail` to section `s` of a segment image, moving every later
+/// section by whole 8-byte words so each stays aligned. Section lengths
+/// change, so callers RecomputeCrcs() afterwards.
+void AppendToSection(std::vector<uint8_t>* b, size_t s,
+                     const std::vector<uint8_t>& tail) {
+  const size_t entry = kSegmentHeaderBytes + s * kSegmentSectionEntryBytes;
+  const uint64_t end = GetU64At(*b, entry) + GetU64At(*b, entry + 8);
+  const uint64_t padded = (end + 7) & ~uint64_t{7};
+  const uint64_t grown = (end + tail.size() + 7) & ~uint64_t{7};
+  b->insert(b->begin() + static_cast<ptrdiff_t>(padded), grown - padded, 0);
+  std::copy(tail.begin(), tail.end(), b->begin() + static_cast<ptrdiff_t>(end));
+  PutU64At(b, entry + 8, GetU64At(*b, entry + 8) + tail.size());
+  for (size_t t = 0; t < kSegmentSectionCount; ++t) {
+    const size_t other = kSegmentHeaderBytes + t * kSegmentSectionEntryBytes;
+    if (t != s && GetU64At(*b, other) >= padded) {
+      PutU64At(b, other, GetU64At(*b, other) + (grown - padded));
+    }
+  }
+}
+
+/// File offsets of every entry of a varint(len)+bytes section (D or T),
+/// read with a decoder of the test's own.
+std::vector<size_t> EntryStarts(const std::vector<uint8_t>& b, size_t s) {
+  const size_t entry = kSegmentHeaderBytes + s * kSegmentSectionEntryBytes;
+  const size_t begin = GetU64At(b, entry);
+  const size_t end = begin + GetU64At(b, entry + 8);
+  std::vector<size_t> starts;
+  for (size_t p = begin; p < end;) {
+    starts.push_back(p);
+    size_t len = 0;
+    for (int shift = 0;; shift += 7) {
+      const uint8_t byte = b[p++];
+      len |= static_cast<size_t>(byte & 0x7fu) << shift;
+      if ((byte & 0x80u) == 0) break;
+    }
+    p += len;
+  }
+  return starts;
 }
 
 StatusCode LoadCode(const std::string& path, bool verify = true) {
@@ -372,9 +413,94 @@ TEST(SegmentTest, BytesAccountingSplitsHeapFromMapping) {
   Result<std::unique_ptr<TextIndex>> loaded = TextIndex::LoadFromSegment(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value()->bytes_mapped(), ReadFileBytes(path).size());
-  // The mmap-served index holds only dictionaries on the heap — a
-  // fraction of the full SoA-plus-sidecar heap build.
+  // The mmap-served index holds only per-term objects, df and the D/T
+  // offsets and stem table on the heap — a fraction of the full
+  // SoA-plus-sidecar heap build.
   EXPECT_LT(loaded.value()->bytes_resident(), built.bytes_resident() / 2);
+  std::remove(path.c_str());
+}
+
+TEST(SegmentTest, LoadedHeapDoesNotGrowWithUrlLength) {
+  // Identical postings under 20-byte and 200-byte URLs: a loaded index
+  // serves the URL bytes from the mapping and keeps 4 bytes per
+  // document on the heap either way; a heap-built one owns them.
+  constexpr int kDocs = 300;
+  constexpr int kShort = 20, kLong = 200;
+  auto build = [](TextIndex* index, int url_bytes) {
+    Rng rng(161);
+    ZipfSampler zipf(200, 1.1);
+    for (int d = 0; d < kDocs; ++d) {
+      std::string body;
+      for (int w = 0; w < 40; ++w) {
+        body += StrFormat("term%04zu ", zipf.Sample(&rng));
+      }
+      index->AddDocument(StrFormat("doc%0*d", url_bytes - 3, d), body);
+    }
+    index->Flush();
+  };
+  TextIndex short_urls(RawOptions()), long_urls(RawOptions());
+  build(&short_urls, kShort);
+  build(&long_urls, kLong);
+  ASSERT_EQ(short_urls.url(7).size(), size_t{kShort});
+  ASSERT_EQ(long_urls.url(7).size(), size_t{kLong});
+  EXPECT_GE(long_urls.bytes_resident(),
+            short_urls.bytes_resident() + kDocs * (kLong - kShort));
+
+  const std::string short_path = TempPath("short_urls.seg");
+  const std::string long_path = TempPath("long_urls.seg");
+  ASSERT_TRUE(short_urls.FlushToDisk(short_path).ok());
+  ASSERT_TRUE(long_urls.FlushToDisk(long_path).ok());
+  Result<std::unique_ptr<TextIndex>> short_loaded =
+      TextIndex::LoadFromSegment(short_path);
+  Result<std::unique_ptr<TextIndex>> long_loaded =
+      TextIndex::LoadFromSegment(long_path);
+  ASSERT_TRUE(short_loaded.ok()) << short_loaded.status().ToString();
+  ASSERT_TRUE(long_loaded.ok()) << long_loaded.status().ToString();
+  EXPECT_EQ(short_loaded.value()->bytes_resident(),
+            long_loaded.value()->bytes_resident());
+  EXPECT_EQ(long_loaded.value()->url(7), long_urls.url(7));
+  std::remove(short_path.c_str());
+  std::remove(long_path.c_str());
+}
+
+TEST(SegmentTest, OverwritingAServedSegmentKeepsItsReaderExact) {
+  // A is served off `path` while a different, larger index B is
+  // flushed to the same path. Publishing by rename leaves A's mapping
+  // on A's bytes, so A answers exactly as before, and a fresh load of
+  // `path` serves B.
+  const std::string path = TempPath("overwrite.seg");
+  TextIndex a(RawOptions());
+  BuildCorpus(&a, 300, 30, 200, 151);
+  ASSERT_TRUE(a.FlushToDisk(path).ok());
+  Result<std::unique_ptr<TextIndex>> served = TextIndex::LoadFromSegment(path);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+
+  TextIndex b(RawOptions());
+  BuildCorpus(&b, 500, 40, 250, 152);
+  ASSERT_TRUE(b.FlushToDisk(path).ok());
+
+  const TextIndex& reader = *served.value();
+  for (DocId d = 0; d < a.document_count(); ++d) {
+    ASSERT_EQ(reader.doc_length(d), a.doc_length(d)) << "doc " << d;
+    ASSERT_EQ(reader.url(d), a.url(d)) << "doc " << d;
+  }
+  for (TermId t = 0; t < a.vocabulary_size(); ++t) {
+    ASSERT_EQ(reader.term(t), a.term(t)) << "term " << t;
+  }
+  Result<std::unique_ptr<TextIndex>> fresh = TextIndex::LoadFromSegment(path);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh.value()->document_count(), b.document_count());
+  for (const auto& query : SeededQueries(20, 3, 250, 153)) {
+    for (bool prune : {false, true}) {
+      RankOptions options;
+      options.prune = prune;
+      const std::string what = StrFormat("prune %d", prune);
+      ExpectBitIdentical(reader.RankTopN(query, 10, options),
+                         a.RankTopN(query, 10, options), "served A " + what);
+      ExpectBitIdentical(fresh.value()->RankTopN(query, 10, options),
+                         b.RankTopN(query, 10, options), "fresh B " + what);
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -552,6 +678,89 @@ TEST(SegmentTest, CraftedOffsetsAndRecordsFailStructuralValidation) {
     EXPECT_EQ(LoadCode(path), StatusCode::kCorruption);
     // Record tiling is metadata, checked even without payload verify.
     EXPECT_EQ(LoadCode(path, /*verify=*/false), StatusCode::kCorruption);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SegmentTest, CraftedDictionaryAndUrlSectionsAreRejected) {
+  // Each patch keeps every checksum self-consistent, so only the walk
+  // that builds the D and T offsets can refuse it — and it runs under
+  // both verify modes, because every url()/term() read trusts it.
+  const std::string path = TempPath("crafted_dt.seg");
+  TextIndex built(RawOptions());
+  BuildCorpus(&built, 40, 20, 60, 171);
+  ASSERT_TRUE(built.FlushToDisk(path).ok());
+  const std::vector<uint8_t> bytes = ReadFileBytes(path);
+
+  // The message must name the column: the refusal has to come from its
+  // walk, not from a section the patch knocked out of place.
+  auto expect_rejected = [&](std::vector<uint8_t> patched,
+                             const std::string& column,
+                             const std::string& what) {
+    RecomputeCrcs(&patched);
+    WriteFileBytes(path, patched);
+    for (bool verify : {true, false}) {
+      SegmentLoadOptions options;
+      options.verify = verify;
+      const Result<std::unique_ptr<TextIndex>> loaded =
+          TextIndex::LoadFromSegment(path, options);
+      ASSERT_FALSE(loaded.ok()) << what << ", verify " << verify;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+          << what << ", verify " << verify;
+      EXPECT_NE(loaded.status().message().find(column), std::string::npos)
+          << what << ", verify " << verify << ": "
+          << loaded.status().ToString();
+    }
+  };
+
+  // A stem repeated: entry 1 overwritten with entry 0 (same length).
+  {
+    const std::vector<size_t> starts = EntryStarts(bytes, kSectionTermDict);
+    ASSERT_GE(starts.size(), 2u);
+    ASSERT_EQ(starts[1] - starts[0], starts[2] - starts[1]);
+    std::vector<uint8_t> patched = bytes;
+    std::copy(bytes.begin() + static_cast<ptrdiff_t>(starts[0]),
+              bytes.begin() + static_cast<ptrdiff_t>(starts[1]),
+              patched.begin() + static_cast<ptrdiff_t>(starts[1]));
+    expect_rejected(patched, "term dictionary", "duplicate stem");
+  }
+  const struct {
+    size_t section;
+    size_t count_at;  // header offset of the section's entry count
+    const char* name;
+  } kColumns[] = {{kSectionTermDict, 24, "term dictionary"},
+                  {kSectionDocUrls, 16, "url table"}};
+  for (const auto& column : kColumns) {
+    const std::vector<size_t> starts = EntryStarts(bytes, column.section);
+    ASSERT_FALSE(starts.empty()) << column.name;
+    const std::string name = column.name;
+    // The last entry's length one past the section end.
+    {
+      std::vector<uint8_t> patched = bytes;
+      ASSERT_LT(patched[starts.back()], 0x7f) << name;
+      ++patched[starts.back()];
+      expect_rejected(patched, name, name + ": entry past the section end");
+    }
+    // An overlong varint: five bytes, the 5th still continuing.
+    {
+      std::vector<uint8_t> patched = bytes;
+      std::fill_n(patched.begin() + static_cast<ptrdiff_t>(starts[0]), 5,
+                  uint8_t{0x80});
+      expect_rejected(patched, name, name + ": overlong varint");
+    }
+    // One byte after the last entry.
+    {
+      std::vector<uint8_t> patched = bytes;
+      AppendToSection(&patched, column.section, {0x00});
+      expect_rejected(patched, name, name + ": trailing byte");
+    }
+    // A header count one above the section's entries.
+    {
+      std::vector<uint8_t> patched = bytes;
+      PutU64At(&patched, column.count_at,
+               GetU64At(bytes, column.count_at) + 1);
+      expect_rejected(patched, name, name + ": count above the entries");
+    }
   }
   std::remove(path.c_str());
 }
