@@ -15,6 +15,10 @@
 //              change (pinned readers are unharmed by the swap)
 //   merge      one timed merge packing the accumulated delta tier
 //              (reports merge throughput)
+//   locality   200 more documents merged into a second, small run;
+//              the mean delete in it is timed before and after 1,000
+//              deletes in the large run — a delete must not pay for
+//              another part's tombstones
 //
 // The exact.* booleans gate in ci/bench_gate.py:
 //   delta_bit_identical     quiesced rankings (kernels x pruning, with
@@ -35,6 +39,9 @@
 //   ingest.p99_merge_over_quiesced  the tail may pay for the merge's
 //       CPU burst — on a single core a query can wait out whole merge
 //       timeslices — but boundedly so
+//   ingest.delete_after_over_before  a delete copies only its own
+//       part's deletion record, so tombstones elsewhere leave its cost
+//       flat
 // The raw _us latencies are machine-dependent and stay ungated.
 //
 // Prints a human table and writes machine-readable JSON (default
@@ -72,6 +79,9 @@ constexpr size_t kNumFragments = 4;
 constexpr int kLatencyIters = 600;      ///< queries per latency phase
 constexpr int kChurnBatch = 48;         ///< inserts between churn merges
 constexpr int kPinnedCheckEvery = 25;   ///< pinned-snapshot re-check cadence
+constexpr int kLocalityDocs = 200;      ///< the small run of the locality phase
+constexpr int kTimedDeletes = 64;       ///< timed deletes per locality side
+constexpr int kLargeRunDeletes = 1000;  ///< tombstones put in the large run
 
 synth::CorpusSpec IngestSpec() {
   synth::CorpusSpec spec;
@@ -350,6 +360,36 @@ int main(int argc, char** argv) {
       quiesced.p99_us > 0 ? during.p99_us / quiesced.p99_us : 0;
   const ingest::LiveIndexStats final_stats = live.Stats();
 
+  // ---- locality: a delete's cost vs another part's tombstones -------
+  // The final run holds more than twice kLocalityDocs, so the merge
+  // keeps it and packs the new documents into a second run.
+  std::vector<std::string> small_run;
+  corpus.ForEach(0, kLocalityDocs,
+                 [&](size_t, const std::string& url, const std::string& body) {
+                   small_run.push_back("locality/" + url);
+                   if (!live.Insert(small_run.back(), body).ok()) std::abort();
+                 });
+  live.Merge();
+  if (live.Stats().parts != final_stats.parts + 1) std::abort();
+  const auto mean_delete_us = [&](int begin) {
+    Timer timer;
+    for (int i = begin; i < begin + kTimedDeletes; ++i) {
+      if (!live.Delete(small_run[i])) std::abort();
+    }
+    return timer.ElapsedMillis() * 1000.0 / kTimedDeletes;
+  };
+  const double delete_us_before = mean_delete_us(0);
+  int large_run_deletes = 0;
+  for (size_t d = 0; d < shadow.size() && large_run_deletes < kLargeRunDeletes;
+       ++d) {
+    if (!shadow[d].alive) continue;
+    if (!live.Delete(shadow[d].url)) std::abort();
+    ++large_run_deletes;
+  }
+  const double delete_us_after = mean_delete_us(kTimedDeletes);
+  const double delete_ratio =
+      delete_us_before > 0 ? delete_us_after / delete_us_before : 0;
+
   std::printf(
       "live ingestion: %d docs + %d churned, vocab %zu, %d queries, "
       "top %zu, seal %zu\n\n",
@@ -364,6 +404,10 @@ int main(int argc, char** argv) {
               merge_docs_per_s, before.delta_docs, merge_s);
   std::printf("during merge / quiesced: p50 %.2fx  p99 %.2fx\n", p50_ratio,
               p99_ratio);
+  std::printf("delete    %7.1f us before, %7.1f us after %d large-run "
+              "deletes (%.2fx)\n",
+              delete_us_before, delete_us_after, kLargeRunDeletes,
+              delete_ratio);
   std::printf(
       "\nexact: delta_bit_identical=%s served_during_merge=%s "
       "merge_preserves_ranking=%s\n",
@@ -398,7 +442,10 @@ int main(int argc, char** argv) {
       "    \"final_parts\": %zu,\n"
       "    \"final_live_docs\": %zu,\n"
       "    \"p50_merge_over_quiesced\": %.3f,\n"
-      "    \"p99_merge_over_quiesced\": %.3f\n"
+      "    \"p99_merge_over_quiesced\": %.3f,\n"
+      "    \"delete_us_before\": %.1f,\n"
+      "    \"delete_us_after\": %.1f,\n"
+      "    \"delete_after_over_before\": %.3f\n"
       "  },\n"
       "  \"exact\": {\"delta_bit_identical\": %s, \"served_during_merge\": "
       "%s, \"merge_preserves_ranking\": %s}\n"
@@ -408,8 +455,8 @@ int main(int argc, char** argv) {
       quiesced.p50_us, quiesced.p99_us, during.p50_us, during.p99_us,
       insert_docs_per_s, merge_docs_per_s,
       static_cast<unsigned long long>(merges_during), final_stats.parts,
-      final_stats.live_docs, p50_ratio, p99_ratio,
-      delta_bit_identical ? "true" : "false",
+      final_stats.live_docs, p50_ratio, p99_ratio, delete_us_before,
+      delete_us_after, delete_ratio, delta_bit_identical ? "true" : "false",
       served_during_merge ? "true" : "false",
       merge_preserves_ranking ? "true" : "false");
   std::fclose(out);

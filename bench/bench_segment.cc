@@ -242,6 +242,9 @@ int main(int argc, char** argv) {
   // -- trusted load: the restart path, measured free of the heap -----
   ir::SegmentLoadOptions trusted;
   trusted.verify = false;
+  // Hand the freed heap and verified copies back to the kernel, so the
+  // mapped RSS below counts the mapping, not heap glibc kept.
+  malloc_trim(0);
   const uint64_t heap_before_load = HeapInUseBytes();
   Timer trusted_timer;
   Result<std::unique_ptr<ir::TextIndex>> mapped =

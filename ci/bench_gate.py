@@ -57,6 +57,11 @@ A metric fails the gate when it regresses by more than --threshold
                        for the merge's CPU burst (on a single core a
                        query can wait out whole merge timeslices), but
                        boundedly. Timing ratio, retryable.
+  ingest.delete_after_over_before  ceiling of 2.0 — a delete in a small
+                       run must cost the same after 1,000 tombstones
+                       land in another run: a delete copies only its
+                       own part's deletion record. Timing ratio of one
+                       run, retryable.
   exact.*              must be true — a bit-identity miss is never a
                        timing artefact (for bench_serve this covers
                        bit_identical, p99_within_deadline,
@@ -135,6 +140,8 @@ SLOW_REPLICA_P99_CEILING = 2.0
 # Timing ratios of one run, so misses are retryable.
 INGEST_P50_MERGE_CEILING = 3.0
 INGEST_P99_MERGE_CEILING = 30.0
+# ...and a delete must not pay for tombstones in other parts.
+INGEST_DELETE_LOCALITY_CEILING = 2.0
 
 # Re-runs allowed when only timing ratios regressed (noise is one-sided:
 # contention can't make a run faster, so one clean attempt is decisive).
@@ -275,6 +282,13 @@ def compare(name, baseline, fresh, threshold):
             f"{name}: ingest.p99_merge_over_quiesced {merge_p99:.2f} above "
             f"the {INGEST_P99_MERGE_CEILING:.1f} ceiling — merging is "
             f"drowning the query tail")
+    delete_ratio = fresh_flat.get("ingest.delete_after_over_before")
+    if delete_ratio is not None and \
+            delete_ratio > INGEST_DELETE_LOCALITY_CEILING:
+        timing.append(
+            f"{name}: ingest.delete_after_over_before {delete_ratio:.2f} "
+            f"above the {INGEST_DELETE_LOCALITY_CEILING:.1f} ceiling — a "
+            f"delete pays for other parts' tombstones")
     return timing, hard
 
 

@@ -17,35 +17,50 @@ namespace dls::ingest {
 
 namespace {
 
-/// Per-stem term counts of a document body under the index's
-/// normalisation — the pipeline TextIndex::AddDocument runs
-/// (ForEachToken + NormalizeWordAs), so the df/length bookkeeping a
-/// tombstone reverses is exactly what indexing once added.
-std::unordered_map<std::string, int32_t> TermCounts(std::string_view text,
-                                                    bool stem, bool stop,
-                                                    int64_t* length) {
-  std::unordered_map<std::string, int32_t> counts;
-  int64_t total = 0;
+/// The StatsDelta of a document body: its distinct stems in ascending
+/// order and its length, under the index's normalisation — the
+/// pipeline TextIndex::AddDocument runs (ForEachToken +
+/// NormalizeWordAs), so the df/length a delete hides is exactly what
+/// indexing once added.
+StatsDelta DocStats(std::string_view text, bool stem, bool stop) {
+  StatsDelta stats;
   ir::ForEachToken(text, [&](std::string_view token) {
     std::optional<std::string> norm = ir::NormalizeWordAs(token, stem, stop);
-    if (!norm) return;
-    ++counts[*norm];
-    ++total;
+    if (norm) stats.stems.push_back(std::move(*norm));
   });
-  if (length != nullptr) *length = total;
-  return counts;
+  stats.length = static_cast<int64_t>(stats.stems.size());
+  std::sort(stats.stems.begin(), stats.stems.end());
+  stats.stems.erase(std::unique(stats.stems.begin(), stats.stems.end()),
+                    stats.stems.end());
+  return stats;
 }
 
-/// The StatsDelta of a document's term counts: its distinct stems in
-/// ascending order and its length.
-StatsDelta DeltaOf(const std::unordered_map<std::string, int32_t>& counts,
-                   int64_t length) {
-  StatsDelta delta;
-  delta.length = length;
-  delta.stems.reserve(counts.size());
-  for (const auto& [stem, tf] : counts) delta.stems.push_back(stem);
-  std::sort(delta.stems.begin(), delta.stems.end());
-  return delta;
+/// A deletion record of `part` with nothing deleted yet.
+std::shared_ptr<LiveIndex::PartDeletes> NoDeletes(
+    const LiveIndex::Part& part) {
+  return std::make_shared<LiveIndex::PartDeletes>(LiveIndex::PartDeletes{
+      ir::DocFilter::All(part.global_ids.size()),
+      std::vector<int32_t>(part.index->vocabulary_size(), 0), 0});
+}
+
+/// Marks local document `doc` of `part` dead in `deletes`, an
+/// unpublished record: clears its live bit and adds `stats`, its
+/// body's StatsDelta, to the dead df and length.
+void MarkDead(const LiveIndex::Part& part, ir::DocId doc,
+              const StatsDelta& stats, LiveIndex::PartDeletes* deletes) {
+  deletes->live.Clear(doc);
+  for (const std::string& stem : stats.stems) {
+    const std::optional<ir::TermId> t = part.index->LookupTerm(stem);
+    assert(t && "a part's vocabulary holds every stem of its documents");
+    ++deletes->dead_df[*t];
+  }
+  deletes->dead_length += stats.length;
+}
+
+/// The df of term `t` among a part's live documents.
+int32_t LiveDf(const ir::TextIndex& index,
+               const LiveIndex::PartDeletes* deletes, ir::TermId t) {
+  return index.df(t) - (deletes == nullptr ? 0 : deletes->dead_df[t]);
 }
 
 void AddRankStats(const ir::RankStats& from, ir::RankStats* into) {
@@ -86,52 +101,49 @@ std::shared_ptr<const LiveIndex::Snapshot> LiveIndex::Snapshot::Frozen(
   snap->stop_ = index->options().stop;
   snap->parts_.push_back(std::make_shared<const Part>(
       Part{std::move(index), std::move(fragments), {}, /*frozen=*/true, {}}));
-  snap->live_.resize(1);
+  snap->deletes_.resize(1);
   snap->part_tombstones_.resize(1);
-  snap->df_minus_ =
-      std::make_shared<const std::unordered_map<std::string, int32_t>>();
   return snap;
 }
 
 bool LiveIndex::Snapshot::IsDeleted(uint64_t id) const {
   const auto at = Locate(parts_, id);
-  return at && live_[at->first] != nullptr &&
-         !live_[at->first]->Contains(at->second);
+  if (!at) return false;
+  const ir::DocFilter* live = part_live(at->first);
+  return live != nullptr && !live->Contains(at->second);
 }
 
 int64_t LiveIndex::Snapshot::collection_length() const {
   int64_t sum = 0;
-  for (const std::shared_ptr<const Part>& p : parts_) {
-    sum += p->index->collection_length();
+  for (size_t pi = 0; pi < parts_.size(); ++pi) {
+    sum += parts_[pi]->index->collection_length();
+    if (deletes_[pi] != nullptr) sum -= deletes_[pi]->dead_length;
   }
-  return sum - cl_minus_;
+  return sum;
 }
 
 int32_t LiveIndex::Snapshot::EffectiveDf(std::string_view stem) const {
-  int64_t df = 0;
-  for (const std::shared_ptr<const Part>& p : parts_) {
-    std::optional<ir::TermId> t = p->index->LookupTerm(stem);
-    if (t) df += p->index->df(*t);
+  int32_t df = 0;
+  for (size_t pi = 0; pi < parts_.size(); ++pi) {
+    const ir::TextIndex& index = *parts_[pi]->index;
+    std::optional<ir::TermId> t = index.LookupTerm(stem);
+    if (t) df += LiveDf(index, deletes_[pi].get(), *t);
   }
-  auto it = df_minus_->find(std::string(stem));
-  if (it != df_minus_->end()) df -= it->second;
-  return static_cast<int32_t>(df);
+  return df;
 }
 
 std::unordered_map<std::string, int32_t>
 LiveIndex::Snapshot::EffectiveDfTable() const {
+  // A part's stored df is at least 1 and its dead df at most that, so
+  // skipping the parts' zero live dfs leaves exactly the stems whose
+  // effective df is positive.
   std::unordered_map<std::string, int32_t> table;
-  for (const std::shared_ptr<const Part>& p : parts_) {
-    const size_t vocab = p->index->vocabulary_size();
-    for (ir::TermId t = 0; t < vocab; ++t) {
-      table[std::string(p->index->term(t))] += p->index->df(t);
+  for (size_t pi = 0; pi < parts_.size(); ++pi) {
+    const ir::TextIndex& index = *parts_[pi]->index;
+    for (ir::TermId t = 0; t < index.vocabulary_size(); ++t) {
+      const int32_t df = LiveDf(index, deletes_[pi].get(), t);
+      if (df > 0) table[std::string(index.term(t))] += df;
     }
-  }
-  for (const auto& [stem, minus] : *df_minus_) {
-    auto it = table.find(stem);
-    if (it == table.end()) continue;
-    it->second -= minus;
-    if (it->second <= 0) table.erase(it);
   }
   return table;
 }
@@ -139,7 +151,7 @@ LiveIndex::Snapshot::EffectiveDfTable() const {
 std::vector<std::pair<std::string, int32_t>>
 LiveIndex::Snapshot::EffectiveDfList() const {
   std::vector<std::pair<std::string, int32_t>> list;
-  if (parts_.size() == 1 && df_minus_->empty()) {
+  if (parts_.size() == 1 && deletes_[0] == nullptr) {
     const ir::TextIndex& index = *parts_[0]->index;
     list.reserve(index.vocabulary_size());
     for (ir::TermId t = 0; t < index.vocabulary_size(); ++t) {
@@ -190,7 +202,7 @@ std::vector<LiveScoredDoc> LiveIndex::Snapshot::Query(
     }
     if (terms.empty()) continue;
     ir::RankOptions part_options = options;
-    part_options.doc_filter = live_[pi].get();
+    part_options.doc_filter = part_live(pi);
     ir::RankStats part_stats;
     std::vector<ir::ScoredDoc> top = ir::EvaluateTopN(
         std::move(terms), part.index->document_count(),
@@ -222,8 +234,6 @@ std::vector<LiveScoredDoc> LiveIndex::Snapshot::Query(
 LiveIndex::LiveIndex(LiveIndexOptions options)
     : options_(std::move(options)) {
   if (options_.delta_seal_docs == 0) options_.delta_seal_docs = 1;
-  df_minus_ =
-      std::make_shared<const std::unordered_map<std::string, int32_t>>();
   {
     std::lock_guard<std::mutex> lock(mu_);
     PublishLocked();  // the empty epoch 0
@@ -252,29 +262,29 @@ std::shared_ptr<ir::TextIndex> LiveIndex::BuildPart(
   return index;
 }
 
-std::shared_ptr<const ir::DocFilter> LiveIndex::LiveSetLocked(
-    const std::vector<uint64_t>& ids) const {
-  std::shared_ptr<ir::DocFilter> live;
-  for (size_t local = 0; local < ids.size(); ++local) {
-    if (docs_[ids[local]].alive) continue;
-    if (live == nullptr) {
-      live = std::make_shared<ir::DocFilter>(ir::DocFilter::All(ids.size()));
-    }
-    live->Clear(static_cast<ir::DocId>(local));
+std::shared_ptr<const LiveIndex::PartDeletes> LiveIndex::DeletesLocked(
+    const Part& part) const {
+  std::shared_ptr<PartDeletes> deletes;
+  for (size_t local = 0; local < part.global_ids.size(); ++local) {
+    const StoredDoc& doc = docs_[part.global_ids[local]];
+    if (doc.alive) continue;
+    if (deletes == nullptr) deletes = NoDeletes(part);
+    MarkDead(part, static_cast<ir::DocId>(local),
+             DocStats(doc.text, options_.node.stem, options_.node.stop),
+             deletes.get());
   }
-  return live;
+  return deletes;
 }
 
 void LiveIndex::PublishLocked() {
   auto snap = std::make_shared<Snapshot>();
   snap->parts_ = parts_;
-  snap->live_ = live_;
-  snap->df_minus_ = df_minus_;
-  snap->cl_minus_ = cl_minus_;
+  snap->deletes_ = deletes_;
   snap->part_tombstones_.resize(parts_.size());
   for (size_t pi = 0; pi < parts_.size(); ++pi) {
     const size_t docs = parts_[pi]->global_ids.size();
-    const size_t dead = live_[pi] == nullptr ? 0 : docs - live_[pi]->count();
+    const size_t dead =
+        deletes_[pi] == nullptr ? 0 : docs - deletes_[pi]->live.count();
     snap->part_tombstones_[pi] = static_cast<uint32_t>(dead);
     snap->total_docs_ += docs;
     snap->tombstones_ += dead;
@@ -282,8 +292,14 @@ void LiveIndex::PublishLocked() {
   snap->epoch_ = epoch_++;
   snap->stem_ = options_.node.stem;
   snap->stop_ = options_.node.stop;
-  std::lock_guard<std::mutex> snap_lock(snap_mu_);
-  snapshot_ = std::move(snap);
+  std::shared_ptr<const Snapshot> replaced;
+  {
+    std::lock_guard<std::mutex> snap_lock(snap_mu_);
+    replaced = std::exchange(snapshot_, std::move(snap));
+  }
+  // When no reader pins it, the replaced snapshot (and whatever part
+  // or record only it held) is freed here, after snap_mu_ is released:
+  // Pin() never waits on a teardown.
 }
 
 Result<uint64_t> LiveIndex::Insert(std::string_view url,
@@ -292,10 +308,7 @@ Result<uint64_t> LiveIndex::Insert(std::string_view url,
   // writer lock is taken.
   StatsDelta inserted;
   if (delta != nullptr) {
-    int64_t length = 0;
-    const std::unordered_map<std::string, int32_t> counts =
-        TermCounts(text, options_.node.stem, options_.node.stop, &length);
-    inserted = DeltaOf(counts, length);
+    inserted = DocStats(text, options_.node.stem, options_.node.stop);
   }
   std::unique_lock<std::mutex> lock(mu_);
   std::string key(url);
@@ -320,14 +333,14 @@ Result<uint64_t> LiveIndex::Insert(std::string_view url,
   auto part = std::make_shared<const Part>(
       Part{BuildPart(bodies), nullptr, active_ids_, /*frozen=*/false, {}});
   // The rebuilt part keeps the deletes its predecessor carried.
-  std::shared_ptr<const ir::DocFilter> live = LiveSetLocked(active_ids_);
+  std::shared_ptr<const PartDeletes> deletes = DeletesLocked(*part);
   if (active_part_ != nullptr) {
     assert(!parts_.empty() && parts_.back() == active_part_);
     parts_.back() = part;
-    live_.back() = std::move(live);
+    deletes_.back() = std::move(deletes);
   } else {
     parts_.push_back(part);
-    live_.push_back(std::move(live));
+    deletes_.push_back(std::move(deletes));
   }
   active_part_ = part;
   if (active_ids_.size() >= options_.delta_seal_docs) {
@@ -359,29 +372,20 @@ bool LiveIndex::Delete(std::string_view url, StatsDelta* delta) {
   if (!docs_[id].alive) return false;
   docs_[id].alive = false;
 
-  // Clear the document's bit in a copy of its part's live set.
+  // Its part keeps counting the document (postings are immutable), so a
+  // copy of that part's record clears its live bit and adds its stems
+  // and length to the dead statistics that queries subtract.
   const auto at = Locate(parts_, id);
   assert(at && "every live document sits in a part");
   const auto& [pi, local] = *at;
-  auto live = live_[pi] != nullptr
-                  ? std::make_shared<ir::DocFilter>(*live_[pi])
-                  : std::make_shared<ir::DocFilter>(ir::DocFilter::All(
-                        parts_[pi]->global_ids.size()));
-  live->Clear(local);
-  live_[pi] = std::move(live);
-
-  // Reverse the document's statistics contribution: every part keeps
-  // counting it (postings are immutable), so queries subtract it from
-  // df and the collection length to score against live-only stats.
-  int64_t length = 0;
-  std::unordered_map<std::string, int32_t> counts = TermCounts(
-      docs_[id].text, options_.node.stem, options_.node.stop, &length);
-  auto minus =
-      std::make_shared<std::unordered_map<std::string, int32_t>>(*df_minus_);
-  for (const auto& [stem, tf] : counts) ++(*minus)[stem];
-  df_minus_ = std::move(minus);
-  cl_minus_ += length;
-  if (delta != nullptr) *delta = DeltaOf(counts, length);
+  std::shared_ptr<PartDeletes> deletes =
+      deletes_[pi] != nullptr ? std::make_shared<PartDeletes>(*deletes_[pi])
+                              : NoDeletes(*parts_[pi]);
+  StatsDelta removed =
+      DocStats(docs_[id].text, options_.node.stem, options_.node.stop);
+  MarkDead(*parts_[pi], local, removed, deletes.get());
+  deletes_[pi] = std::move(deletes);
+  if (delta != nullptr) *delta = std::move(removed);
   PublishLocked();
   return true;
 }
@@ -393,7 +397,6 @@ void LiveIndex::Merge() {
 
   struct ClaimedDoc {
     uint64_t id;
-    bool alive;
     std::string url;
     std::string text;
   };
@@ -418,10 +421,11 @@ void LiveIndex::Merge() {
       claimed.push_back(*it);
       claimed_docs += (*it)->global_ids.size();
     }
+    // Documents tombstoned at claim time leave with their parts.
     for (const auto& p : claimed) {
       for (uint64_t id : p->global_ids) {
-        cdocs.push_back(
-            ClaimedDoc{id, docs_[id].alive, docs_[id].url, docs_[id].text});
+        if (!docs_[id].alive) continue;
+        cdocs.push_back(ClaimedDoc{id, docs_[id].url, docs_[id].text});
       }
     }
     // Seal the active part: inserts landing during the build go to a
@@ -444,7 +448,6 @@ void LiveIndex::Merge() {
     std::vector<std::pair<std::string, std::string>> bodies;
     std::vector<uint64_t> ids;
     for (const ClaimedDoc& d : cdocs) {
-      if (!d.alive) continue;
       bodies.emplace_back(d.url, d.text);
       ids.push_back(d.id);
     }
@@ -476,26 +479,10 @@ void LiveIndex::Merge() {
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Documents tombstoned at claim time were excluded from the run:
-    // they are gone physically, so their statistics corrections are
-    // reversed. Documents deleted *during* the build are inside the run
-    // and leave its live set — still exact.
-    auto minus = std::make_shared<std::unordered_map<std::string, int32_t>>(
-        *df_minus_);
-    for (const ClaimedDoc& d : cdocs) {
-      if (d.alive) continue;
-      int64_t length = 0;
-      std::unordered_map<std::string, int32_t> counts = TermCounts(
-          d.text, options_.node.stem, options_.node.stop, &length);
-      for (const auto& [stem, tf] : counts) {
-        auto it = minus->find(stem);
-        if (it != minus->end() && --it->second <= 0) minus->erase(it);
-      }
-      cl_minus_ -= length;
-    }
-
     // The claimed parts — the newest runs and every delta part of claim
-    // time — still sit together in parts_; the run takes their place.
+    // time — still sit together in parts_; the run takes their place,
+    // and their records go with them. Documents deleted *during* the
+    // build are inside the run and make up its record.
     const size_t at =
         std::find_if(parts_.begin(), parts_.end(),
                      [&claimed](const auto& p) {
@@ -504,12 +491,12 @@ void LiveIndex::Merge() {
                      }) -
         parts_.begin();
     parts_.erase(parts_.begin() + at, parts_.begin() + at + claimed.size());
-    live_.erase(live_.begin() + at, live_.begin() + at + claimed.size());
+    deletes_.erase(deletes_.begin() + at,
+                   deletes_.begin() + at + claimed.size());
     if (run != nullptr) {
       parts_.insert(parts_.begin() + at, run);
-      live_.insert(live_.begin() + at, LiveSetLocked(run->global_ids));
+      deletes_.insert(deletes_.begin() + at, DeletesLocked(*run));
     }
-    df_minus_ = std::move(minus);
     PublishLocked();
     merges_.fetch_add(1, std::memory_order_relaxed);
   }

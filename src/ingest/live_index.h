@@ -33,10 +33,12 @@ namespace dls::ingest {
 /// `segment_dir` is set — and re-fragments it on descending idf
 /// (FragmentedIndex). Every kept run holds more than twice the
 /// documents of the next newer one, so a node holds O(log N) runs.
-/// Deletes never touch postings: a delete clears the document's bit in
-/// a copy of its part's live set (a DocFilter) and hides the statistics
-/// it contributed. A frozen shard is a one-part snapshot with no live
-/// set and no writer (Snapshot::Frozen).
+/// Deletes never touch postings: each part carries one immutable
+/// deletion record — its live set (a DocFilter), the df its deleted
+/// documents still add to its stored statistics (by the part's own
+/// term id) and their total length — and a delete replaces only its
+/// own part's record with an updated copy. A frozen shard is a
+/// one-part snapshot with no record and no writer (Snapshot::Frozen).
 ///
 /// Epoch pinning. Every mutation (Insert, Delete, a Merge swap)
 /// installs a brand-new immutable Snapshot under the next epoch;
@@ -49,11 +51,10 @@ namespace dls::ingest {
 ///
 /// Exactness. A snapshot's ranking is bit-identical to a from-scratch
 /// TextIndex rebuilt over exactly the documents live at that epoch:
-///   - term weights use *effective* statistics — per-stem df summed
-///     over the parts minus the tombstoned documents' contributions
-///     (df_minus), and the collection length minus theirs (cl_minus) —
-///     which are exact integers, so TermWeight matches the rebuild bit
-///     for bit;
+///   - term weights use *effective* statistics — per part, the stored
+///     df and collection length minus the dead df and dead length its
+///     record holds, summed over the parts — which are exact integers,
+///     so TermWeight matches the rebuild bit for bit;
 ///   - tf, doc_length and 1/doc_length of a surviving document are
 ///     whatever its own part computed — identical inputs to the
 ///     rebuild's;
@@ -147,6 +148,16 @@ class LiveIndex {
     std::string segment_path;
   };
 
+  /// One part's deletion record, immutable once published: the part's
+  /// live set, the df its deleted documents still add to the part's
+  /// stored statistics (indexed by the part's term id), and their
+  /// total length. A part with no deleted document has none.
+  struct PartDeletes {
+    ir::DocFilter live;
+    std::vector<int32_t> dead_df;
+    int64_t dead_length = 0;
+  };
+
   /// An immutable epoch-pinned view. Obtained from Pin(); holding the
   /// shared_ptr keeps every referenced part alive across merges.
   class Snapshot {
@@ -171,14 +182,16 @@ class LiveIndex {
       return parts_;
     }
     /// parts()[i]'s live set, or null while none of it is deleted.
-    const ir::DocFilter* part_live(size_t i) const { return live_[i].get(); }
+    const ir::DocFilter* part_live(size_t i) const {
+      return deletes_[i] == nullptr ? nullptr : &deletes_[i]->live;
+    }
     /// Entry i: the tombstoned documents still physically present in
     /// parts()[i] — its documents missing from part_live(i).
     const std::vector<uint32_t>& part_tombstones() const {
       return part_tombstones_;
     }
 
-    /// Effective df of a stem: Σ over parts minus tombstoned holders.
+    /// Effective df of a stem: Σ over parts of its df minus its dead df.
     int32_t EffectiveDf(std::string_view stem) const;
     /// The full effective (stem -> df) table — the vocabulary a stats
     /// handshake advertises. Stems whose live df dropped to 0 are
@@ -202,15 +215,10 @@ class LiveIndex {
    private:
     friend class LiveIndex;
     std::vector<std::shared_ptr<const Part>> parts_;
-    /// Beside parts_: each part's live set (null = all live).
-    std::vector<std::shared_ptr<const ir::DocFilter>> live_;
+    /// Beside parts_: each part's deletion record (null = all live).
+    std::vector<std::shared_ptr<const PartDeletes>> deletes_;
     std::vector<uint32_t> part_tombstones_;
     size_t tombstones_ = 0;
-    /// Per-stem df the tombstoned documents still contribute to the
-    /// parts' stored statistics; subtracted to get effective df.
-    std::shared_ptr<const std::unordered_map<std::string, int32_t>>
-        df_minus_;
-    int64_t cl_minus_ = 0;
     size_t total_docs_ = 0;
     uint64_t epoch_ = 0;
     bool stem_ = true;
@@ -286,10 +294,10 @@ class LiveIndex {
   std::shared_ptr<ir::TextIndex> BuildPart(
       const std::vector<std::pair<std::string, std::string>>& docs) const;
 
-  /// The live set of a part holding `ids` (null if all are alive).
+  /// The deletion record of `part` from the document store (null if
+  /// all its documents are alive); tokenises only the dead ones.
   /// Caller holds mu_.
-  std::shared_ptr<const ir::DocFilter> LiveSetLocked(
-      const std::vector<uint64_t>& ids) const;
+  std::shared_ptr<const PartDeletes> DeletesLocked(const Part& part) const;
 
   /// Publishes the writer's state as a new snapshot under the next
   /// epoch. Caller holds mu_.
@@ -312,13 +320,11 @@ class LiveIndex {
   /// Global ids of the active (unsealed) delta part, in order.
   std::vector<uint64_t> active_ids_;
   /// The writer's canonical view of the published state (mu_): the
-  /// parts in order, each part's live set, and the shared immutable
-  /// statistics structures the next snapshot will reference. Mutations
-  /// copy-on-write these, never edit in place.
+  /// parts in order and each part's deletion record, which the next
+  /// snapshot will share. Mutations replace a record with an updated
+  /// copy, never edit one in place.
   std::vector<std::shared_ptr<const Part>> parts_;
-  std::vector<std::shared_ptr<const ir::DocFilter>> live_;
-  std::shared_ptr<const std::unordered_map<std::string, int32_t>> df_minus_;
-  int64_t cl_minus_ = 0;
+  std::vector<std::shared_ptr<const PartDeletes>> deletes_;
   uint64_t epoch_ = 0;  ///< the next snapshot's
   std::shared_ptr<const Part> active_part_;
 

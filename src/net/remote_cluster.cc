@@ -16,6 +16,20 @@ namespace dls::net {
 
 namespace {
 
+/// The rolling hedge budget tracks this quantile of the shard's window
+/// of successful call latencies.
+constexpr double kHedgeQuantile = 0.95;
+/// Window samples required before the rolling budget arms — until then
+/// nothing hedges, keeping cold-start behaviour (and the message
+/// accounting of deterministic tests) identical to the pre-replica
+/// code.
+constexpr size_t kHedgeMinSamples = 32;
+/// The budget never drops below this, so micro-benchmark-fast shards
+/// don't hedge on scheduler noise.
+constexpr int64_t kHedgeBudgetFloorUs = 200;
+/// EWMA smoothing for per-replica latency and error rate.
+constexpr double kEwmaAlpha = 0.2;
+
 /// One attempt's classified outcome. `frame` is ok iff a well-formed
 /// non-Error frame arrived; `bytes` is the size of whatever response
 /// frame was received (0 when the transport itself failed), so wire
@@ -169,13 +183,13 @@ int64_t RemoteClusterIndex::HedgeBudgetUs(size_t shard) const {
   if (options_.hedge_budget_us > 0) return options_.hedge_budget_us;
   ShardState& state = *shard_state_[shard];
   std::lock_guard<std::mutex> lock(state.mu);
-  if (state.window_count < options_.hedge_min_samples) return -1;
+  if (state.window_count < kHedgeMinSamples) return -1;
   std::array<uint32_t, 64> window = state.window_us;
   const size_t count = state.window_count;
-  const double q = std::clamp(options_.hedge_quantile, 0.0, 1.0);
-  const size_t k = static_cast<size_t>(q * static_cast<double>(count - 1));
+  const size_t k =
+      static_cast<size_t>(kHedgeQuantile * static_cast<double>(count - 1));
   std::nth_element(window.begin(), window.begin() + k, window.begin() + count);
-  return std::max<int64_t>(window[k], options_.hedge_budget_floor_us);
+  return std::max<int64_t>(window[k], kHedgeBudgetFloorUs);
 }
 
 void RemoteClusterIndex::RecordCallOutcome(size_t shard, size_t replica,
@@ -184,7 +198,7 @@ void RemoteClusterIndex::RecordCallOutcome(size_t shard, size_t replica,
   ShardState& state = *shard_state_[shard];
   std::lock_guard<std::mutex> lock(state.mu);
   ReplicaHealth& h = state.health[replica];
-  const double a = options_.ewma_alpha;
+  const double a = kEwmaAlpha;
   if (ok) {
     h.ewma_latency_us = h.ewma_latency_us <= 0
                             ? elapsed_us

@@ -117,24 +117,9 @@ class RemoteClusterIndex {
     // ---- hedging ---------------------------------------------------
     /// Master switch for tail-latency hedging (failover is always on).
     bool hedge = true;
-    /// The budget tracks this quantile of the shard's rolling window
-    /// of successful call latencies.
-    double hedge_quantile = 0.95;
-    /// Window samples required before the rolling budget arms — until
-    /// then nothing hedges, keeping cold-start behaviour (and the
-    /// message accounting of deterministic tests) identical to the
-    /// pre-replica code.
-    size_t hedge_min_samples = 32;
-    /// The budget never drops below this, so micro-benchmark-fast
-    /// shards don't hedge on scheduler noise.
-    int64_t hedge_budget_floor_us = 200;
     /// Fixed budget override in µs (0 = rolling p95). Tests use this
     /// to make hedges fire deterministically without priming.
     int64_t hedge_budget_us = 0;
-
-    // ---- health model ----------------------------------------------
-    /// EWMA smoothing for per-replica latency and error rate.
-    double ewma_alpha = 0.2;
   };
 
   /// Cumulative routing counters since construction (relaxed reads —

@@ -15,12 +15,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -268,6 +272,150 @@ TEST(LiveConcurrencyTest, ContendedMutatorsWithBackgroundMerge) {
   }
   EXPECT_EQ(expect_live, live.Pin()->live_docs());
   EXPECT_GT(live.merges(), 0u);
+}
+
+// Deletes that land while Merge() builds its run outside the writer
+// lock: the documents they hit were alive at claim time, so they enter
+// the run and make up its deletion record. The node's effective
+// statistics and rankings must then equal a rebuild over the live
+// documents.
+TEST(LiveConcurrencyTest, DeletesDuringMergeBuildKeepStatisticsExact) {
+  const uint64_t seed = FaultSeed();
+  std::printf("LiveConcurrencyTest merge-window deletes: DLS_FAULT_SEED=%llu\n",
+              static_cast<unsigned long long>(seed));
+  SCOPED_TRACE(StrFormat("DLS_FAULT_SEED=%llu",
+                         static_cast<unsigned long long>(seed)));
+  Rng rng(seed * 2654435761u + 7);
+  ZipfSampler zipf(120, 1.1);
+  LiveIndexOptions opts;
+  opts.delta_seal_docs = 16;
+  LiveIndex live(opts);
+
+  struct Doc {
+    std::string url;
+    std::string text;
+    uint64_t id;
+    bool alive;
+  };
+  std::vector<Doc> docs;
+  bool reached = false;
+  constexpr size_t kRounds = 8;
+  for (size_t round = 0; round < kRounds && !reached; ++round) {
+    // A delta tier of a few thousand documents: the unlocked build of
+    // the run that packs it takes milliseconds.
+    const size_t first = docs.size();
+    for (size_t i = 0; i < 2000; ++i) {
+      Doc d{StrFormat("r%zu-%04zu", round, i),
+            MakeBody(&rng, &zipf, 8 + rng.Uniform(16)), 0, true};
+      Result<uint64_t> id = live.Insert(d.url, d.text);
+      ASSERT_TRUE(id.ok());
+      d.id = id.value();
+      docs.push_back(std::move(d));
+    }
+    std::vector<size_t> victims(docs.size() - first);
+    for (size_t i = 0; i < victims.size(); ++i) victims[i] = first + i;
+    for (size_t i = victims.size(); i > 1; --i) {
+      std::swap(victims[i - 1], victims[rng.Uniform(i)]);
+    }
+
+    // The deleter runs until it sees the merge's swap. Nothing else
+    // mutates meanwhile, so a pinned snapshot still holding a delta
+    // part means the delete before it preceded the swap.
+    std::atomic<bool> started{false};
+    std::vector<uint64_t> before_swap;
+    std::thread deleter([&] {
+      while (!started.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      for (size_t v : victims) {
+        ASSERT_TRUE(live.Delete(docs[v].url));
+        docs[v].alive = false;
+        const std::shared_ptr<const LiveIndex::Snapshot> snap = live.Pin();
+        const bool swapped = std::none_of(
+            snap->parts().begin(), snap->parts().end(),
+            [](const auto& p) { return !p->frozen; });
+        if (swapped) break;
+        before_swap.push_back(docs[v].id);
+      }
+    });
+    started.store(true, std::memory_order_release);
+    live.Merge();
+    deleter.join();
+
+    // A document deleted before the swap that some part still holds is
+    // in the new run — the claimed delta parts are gone — so it was
+    // alive at claim time: its delete landed inside the build window.
+    const std::shared_ptr<const LiveIndex::Snapshot> snap = live.Pin();
+    for (uint64_t id : before_swap) {
+      if (snap->IsDeleted(id)) reached = true;
+    }
+    if (reached) {
+      size_t tombstones = 0;
+      for (size_t pi = 0; pi < snap->parts().size(); ++pi) {
+        tombstones += snap->part_tombstones()[pi];
+      }
+      EXPECT_GT(tombstones, 0u);
+      std::printf("build window reached in round %zu: %zu tombstones held\n",
+                  round, tombstones);
+    }
+  }
+  ASSERT_TRUE(reached) << "no delete landed inside a merge's build window in "
+                       << kRounds << " rounds";
+
+  // The reference: a rebuild over the live documents in global id order.
+  ir::TextIndex::Options ropts;
+  ropts.flush_batch = docs.size() + 2;
+  ir::TextIndex rebuild(ropts);
+  for (const Doc& d : docs) {
+    if (d.alive) rebuild.AddDocument(d.url, d.text);
+  }
+  rebuild.Flush();
+  std::unordered_map<std::string, int32_t> want_df;
+  for (ir::TermId t = 0; t < rebuild.vocabulary_size(); ++t) {
+    want_df[std::string(rebuild.term(t))] = rebuild.df(t);
+  }
+  const std::shared_ptr<const LiveIndex::Snapshot> snap = live.Pin();
+  EXPECT_EQ(want_df, snap->EffectiveDfTable());
+  EXPECT_EQ(rebuild.collection_length(), snap->collection_length());
+  EXPECT_EQ(rebuild.document_count(), snap->live_docs());
+
+  const std::pair<const char*, ir::ScoreKernel> kernels[] = {
+      {"scalar", ir::ScoreKernel::kScalar},
+      {"block", ir::ScoreKernel::kBlock},
+      {"packed", ir::ScoreKernel::kPacked}};
+  const std::pair<const char*, ir::RankStrategy> strategies[] = {
+      {"auto", ir::RankStrategy::kAuto},
+      {"taat", ir::RankStrategy::kTaat},
+      {"wand", ir::RankStrategy::kWand}};
+  for (size_t q = 0; q < 6; ++q) {
+    std::vector<std::string> query;
+    const size_t qlen = 1 + rng.Uniform(3);
+    for (size_t i = 0; i < qlen; ++i) {
+      query.push_back(StrFormat("term%03zu", zipf.Sample(&rng)));
+    }
+    for (const auto& [kname, kernel] : kernels) {
+      for (const auto& [sname, strategy] : strategies) {
+        for (bool prune : {false, true}) {
+          ir::RankOptions options;
+          options.kernel = kernel;
+          options.strategy = strategy;
+          options.prune = prune;
+          const std::string what = StrFormat(
+              "query %zu %s+%s%s", q, kname, sname, prune ? "+prune" : "");
+          const std::vector<ir::ScoredDoc> want =
+              rebuild.RankTopN(query, 10, options);
+          const std::vector<LiveScoredDoc> got =
+              snap->Query(query, 10, options);
+          ASSERT_EQ(want.size(), got.size()) << what;
+          for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(rebuild.url(want[i].doc), got[i].url)
+                << what << " rank " << i;
+            EXPECT_EQ(want[i].score, got[i].score) << what << " rank " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
