@@ -262,11 +262,7 @@ ir::RankStats BatchStats(const ir::TextIndex& index,
   for (const auto& q : queries) {
     ir::RankStats s;
     index.RankTopN(q, kTopN, options, &s);
-    sum.postings_touched += s.postings_touched;
-    sum.blocks_skipped += s.blocks_skipped;
-    sum.blocks_decoded += s.blocks_decoded;
-    sum.pivot_iterations += s.pivot_iterations;
-    sum.cursor_advances += s.cursor_advances;
+    sum += s;
   }
   return sum;
 }

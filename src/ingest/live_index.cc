@@ -63,14 +63,6 @@ int32_t LiveDf(const ir::TextIndex& index,
   return index.df(t) - (deletes == nullptr ? 0 : deletes->dead_df[t]);
 }
 
-void AddRankStats(const ir::RankStats& from, ir::RankStats* into) {
-  into->postings_touched += from.postings_touched;
-  into->blocks_skipped += from.blocks_skipped;
-  into->blocks_decoded += from.blocks_decoded;
-  into->pivot_iterations += from.pivot_iterations;
-  into->cursor_advances += from.cursor_advances;
-}
-
 /// The part holding global id `id` and its local doc id there, if any
 /// part still holds it. Parts hold ascending global ids.
 std::optional<std::pair<size_t, ir::DocId>> Locate(
@@ -209,7 +201,7 @@ std::vector<LiveScoredDoc> LiveIndex::Snapshot::Query(
         part.index->inv_doc_length_data(), part.index->max_inv_doc_length(),
         n, /*initial_threshold=*/0.0, ir::DocIdTieLess{}, part_options,
         &part_stats);
-    if (stats != nullptr) AddRankStats(part_stats, stats);
+    if (stats != nullptr) *stats += part_stats;
     for (const ir::ScoredDoc& d : top) {
       out.push_back(LiveScoredDoc{part.global_id(d.doc),
                                   std::string(part.index->url(d.doc)),
@@ -578,11 +570,7 @@ ir::ShardResult EvaluateLiveShardQuery(const LiveIndex::Snapshot& snapshot,
   per_part.reserve(parts);
   for (size_t pi = 0; pi < parts; ++pi) {
     ir::ShardResult r = evaluate(pi);
-    result.postings_touched += r.postings_touched;
-    result.blocks_skipped += r.blocks_skipped;
-    result.blocks_decoded += r.blocks_decoded;
-    result.pivot_iterations += r.pivot_iterations;
-    result.cursor_advances += r.cursor_advances;
+    result.work += r.work;
     for (size_t i = 0; i < r.stem_evaluated.size(); ++i) {
       if (!r.stem_evaluated[i]) result.stem_evaluated[i] = false;
     }

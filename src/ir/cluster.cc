@@ -177,16 +177,10 @@ ShardResult EvaluateShardQuery(const TextIndex& index,
       },
       &index};
 
-  RankStats rank_stats;
   std::vector<ScoredDoc> local = EvaluateTopN(
       std::move(eval_terms), index.document_count(),
       index.inv_doc_length_data(), index.max_inv_doc_length(), query.n,
-      query.threshold, url_less, options, &rank_stats, shared_theta);
-  result.postings_touched = rank_stats.postings_touched;
-  result.blocks_skipped = rank_stats.blocks_skipped;
-  result.blocks_decoded = rank_stats.blocks_decoded;
-  result.pivot_iterations = rank_stats.pivot_iterations;
-  result.cursor_advances = rank_stats.cursor_advances;
+      query.threshold, url_less, options, &result.work, shared_theta);
   result.top.reserve(local.size());
   for (const ScoredDoc& d : local) {
     result.top.push_back(
@@ -252,6 +246,26 @@ double ResolveShardQuery(
   return idf_mass;
 }
 
+std::vector<double> ResolveShardBatch(
+    const std::vector<std::vector<std::string>>& queries, bool stem, bool stop,
+    int64_t collection_length, size_t n, size_t max_fragments,
+    const RankOptions& options,
+    const std::function<int32_t(std::string_view)>& global_df,
+    std::vector<ShardQuery>* batch) {
+  *batch = std::vector<ShardQuery>(queries.size());
+  std::vector<double> idf_masses(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ShardQuery& query = (*batch)[q];
+    query.collection_length = collection_length;
+    query.n = n;
+    query.max_fragments = max_fragments;
+    query.options = options;
+    idf_masses[q] =
+        ResolveShardQuery(queries[q], stem, stop, global_df, &query);
+  }
+  return idf_masses;
+}
+
 std::vector<std::vector<ClusterScoredDoc>> CoordinateBatch(
     std::vector<ShardQuery> batch, const std::vector<double>& idf_masses,
     const std::vector<uint64_t>& node_docs, ThreadPool* executor,
@@ -311,14 +325,14 @@ std::vector<std::vector<ClusterScoredDoc>> CoordinateBatch(
   // Work counters fold the same way into the batch and into a rider.
   // Critical paths differ: a rider's is its slowest node, the batch's
   // is the node that spent longest on the whole batch.
-  const auto add_work = [](const ShardResult& r, ClusterQueryStats* s) {
-    s->postings_touched_total += r.postings_touched;
-    s->postings_touched_max_node = std::max(
-        s->postings_touched_max_node, static_cast<size_t>(r.postings_touched));
-    s->blocks_skipped += r.blocks_skipped;
-    s->blocks_decoded += r.blocks_decoded;
-    s->pivot_iterations += r.pivot_iterations;
-    s->cursor_advances += r.cursor_advances;
+  const auto add_work = [](const RankStats& w, ClusterQueryStats* s) {
+    s->postings_touched_total += w.postings_touched;
+    s->postings_touched_max_node =
+        std::max(s->postings_touched_max_node, w.postings_touched);
+    s->blocks_skipped += w.blocks_skipped;
+    s->blocks_decoded += w.blocks_decoded;
+    s->pivot_iterations += w.pivot_iterations;
+    s->cursor_advances += w.cursor_advances;
   };
   ClusterQueryStats total;
   if (per_query != nullptr) {
@@ -340,11 +354,11 @@ std::vector<std::vector<ClusterScoredDoc>> CoordinateBatch(
     double node_elapsed = 0;
     for (size_t q = 0; q < batch.size(); ++q) {
       const ShardResult& r = slots[i].results[q];
-      add_work(r, &total);
+      add_work(r.work, &total);
       node_elapsed += r.elapsed_us;
       if (per_query == nullptr) continue;
       ClusterQueryStats& rider = (*per_query)[q];
-      add_work(r, &rider);
+      add_work(r.work, &rider);
       rider.critical_path_us = std::max(rider.critical_path_us, r.elapsed_us);
       rider.total_cpu_us += r.elapsed_us;
     }
@@ -417,17 +431,11 @@ std::vector<std::vector<ClusterScoredDoc>> ClusterIndex::QueryBatch(
          "ClusterDocFilter needs one bitmap per node");
   // Any node's normaliser is configured identically; use node 0's.
   const TextIndex::Options& norm = nodes_[0].index->options();
-  std::vector<ShardQuery> batch(queries.size());
-  std::vector<double> idf_masses(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    batch[q].collection_length = global_.collection_length;
-    batch[q].n = n;
-    batch[q].max_fragments = max_fragments;
-    batch[q].options = options;
-    idf_masses[q] = ResolveShardQuery(
-        queries[q], norm.stem, norm.stop,
-        [this](std::string_view stem) { return global_df(stem); }, &batch[q]);
-  }
+  std::vector<ShardQuery> batch;
+  const std::vector<double> idf_masses = ResolveShardBatch(
+      queries, norm.stem, norm.stop, global_.collection_length, n,
+      max_fragments, options,
+      [this](std::string_view stem) { return global_df(stem); }, &batch);
   // Node i evaluates in-process under its own bitmap (doc ids are
   // node-local). No frames are shipped, so messages and bytes_shipped
   // stay 0.

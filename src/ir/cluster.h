@@ -55,15 +55,7 @@ struct ShardResult {
   /// may live on other nodes, so they do not count against the
   /// a-priori quality estimate.
   std::vector<bool> stem_evaluated;
-  uint64_t postings_touched = 0;
-  uint64_t blocks_skipped = 0;
-  /// Packed posting blocks decompressed by the pruning cursors; 0 on
-  /// exhaustive or uncompressed evaluations.
-  uint64_t blocks_decoded = 0;
-  /// Pivot selections of the WAND loop; 0 for exhaustive TAAT.
-  uint64_t pivot_iterations = 0;
-  /// Cursor repositionings of the WAND loop; 0 for TAAT.
-  uint64_t cursor_advances = 0;
+  RankStats work;
   double elapsed_us = 0;
 };
 
@@ -159,6 +151,18 @@ double ResolveShardQuery(
     const std::vector<std::string>& words, bool stem, bool stop,
     const std::function<int32_t(std::string_view)>& global_df,
     ShardQuery* query);
+
+/// The resolve step of every cluster flavour's QueryBatch: fills
+/// `batch` with one ShardQuery per entry of `queries`, each under the
+/// one (collection_length, n, max_fragments, options) policy and
+/// resolved by ResolveShardQuery, and returns the queries' idf masses
+/// in order — CoordinateBatch's two inputs.
+std::vector<double> ResolveShardBatch(
+    const std::vector<std::vector<std::string>>& queries, bool stem, bool stop,
+    int64_t collection_length, size_t n, size_t max_fragments,
+    const RankOptions& options,
+    const std::function<int32_t(std::string_view)>& global_df,
+    std::vector<ShardQuery>* batch);
 
 /// The coordinator's seam to node `node`: evaluates `batch` there,
 /// filling `results` with one ShardResult per query, and adds the

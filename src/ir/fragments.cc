@@ -111,16 +111,10 @@ std::vector<ScoredDoc> FragmentedIndex::RankTopN(
         TermWeight(base_->df(term), base_->collection_length(), options),
         base_->df(term)});
   }
-  RankStats rank_stats;
   std::vector<ScoredDoc> top = EvaluateTopN(
       std::move(eval_terms), base_->document_count(),
       base_->inv_doc_length_data(), base_->max_inv_doc_length(), n,
-      /*initial_threshold=*/0.0, DocIdTieLess{}, options, &rank_stats);
-  local_stats.postings_touched = rank_stats.postings_touched;
-  local_stats.blocks_skipped = rank_stats.blocks_skipped;
-  local_stats.blocks_decoded = rank_stats.blocks_decoded;
-  local_stats.pivot_iterations = rank_stats.pivot_iterations;
-  local_stats.cursor_advances = rank_stats.cursor_advances;
+      /*initial_threshold=*/0.0, DocIdTieLess{}, options, &local_stats);
   if (stats != nullptr) *stats = local_stats;
   return top;
 }

@@ -9,17 +9,9 @@
 
 namespace dls::ir {
 
-/// Work/quality accounting for a fragment-limited query.
-struct FragmentQueryStats {
-  size_t postings_touched = 0;   ///< TF tuples read (scored)
-  size_t blocks_skipped = 0;     ///< posting blocks pruned (options.prune)
-  /// Packed posting blocks decompressed by the pruning cursors (pruned
-  /// packed evaluation only) — skipped blocks never decode.
-  size_t blocks_decoded = 0;
-  /// Pivot selections of the WAND loop; 0 for exhaustive TAAT.
-  size_t pivot_iterations = 0;
-  /// Cursor repositionings of the WAND loop; 0 for TAAT.
-  size_t cursor_advances = 0;
+/// Work/quality accounting for a fragment-limited query: the
+/// evaluation's work (RankStats) plus the cut-off's accounting.
+struct FragmentQueryStats : RankStats {
   size_t terms_evaluated = 0;    ///< query terms whose fragment was read
   size_t terms_skipped = 0;      ///< query terms behind the cut-off
   /// Model-predicted quality in [0,1]: the idf mass of the evaluated

@@ -103,8 +103,35 @@ enum class RankStrategy : uint8_t {
   kWand = 2,
 };
 
-/// Work accounting of a ranked evaluation (defined in ir/kernel.h).
-struct RankStats;
+/// Work accounting of a ranked evaluation, shared by every strategy:
+/// the one record of an evaluation's work, carried whole by a shard's
+/// answer (ShardResult::work), a live node's sum over its parts and a
+/// shard server's running total (net::StatsResponse::work).
+struct RankStats {
+  size_t postings_touched = 0;  ///< postings actually scored
+  size_t blocks_skipped = 0;    ///< whole blocks jumped without reading
+  /// Packed blocks decompressed into a cursor's scratch buffer (0 on
+  /// the uncompressed cursors). Skipped blocks are never decoded —
+  /// blocks_decoded + blocks_skipped accounts for the decode work a
+  /// pruned packed evaluation saves.
+  size_t blocks_decoded = 0;
+  /// Pivot selections of the WAND loop. 0 under kTaat — the
+  /// exhaustive scan has no pivots.
+  size_t pivot_iterations = 0;
+  /// Cursor repositionings: galloped seeks, batched-run advances and
+  /// single-posting steps. 0 under kTaat.
+  size_t cursor_advances = 0;
+
+  RankStats& operator+=(const RankStats& other) {
+    postings_touched += other.postings_touched;
+    blocks_skipped += other.blocks_skipped;
+    blocks_decoded += other.blocks_decoded;
+    pivot_iterations += other.pivot_iterations;
+    cursor_advances += other.cursor_advances;
+    return *this;
+  }
+  bool operator==(const RankStats&) const = default;
+};
 
 /// Immutable-after-build bitmap over node-local doc ids: the candidate
 /// set a federated plan pushes down into text evaluation
@@ -390,7 +417,7 @@ class TextIndex {
 
   /// As above, reporting the evaluation's work accounting (postings
   /// touched, blocks skipped/decoded, pivot iterations, cursor
-  /// advances — see RankStats in ir/kernel.h) through `stats`.
+  /// advances — see RankStats) through `stats`.
   std::vector<ScoredDoc> RankTopN(const std::vector<std::string>& query_words,
                                   size_t n, const RankOptions& options,
                                   RankStats* stats) const;

@@ -148,23 +148,6 @@ inline size_t GallopLowerBound(const DocId* docs, size_t lo, size_t hi,
       std::lower_bound(docs + prev + 1, docs + upper, target) - docs);
 }
 
-/// Work accounting of a ranked evaluation, shared by every strategy.
-struct RankStats {
-  size_t postings_touched = 0;  ///< postings actually scored
-  size_t blocks_skipped = 0;    ///< whole blocks jumped without reading
-  /// Packed blocks decompressed into a cursor's scratch buffer (0 on
-  /// the uncompressed cursors). Skipped blocks are never decoded —
-  /// blocks_decoded + blocks_skipped accounts for the decode work a
-  /// pruned packed evaluation saves.
-  size_t blocks_decoded = 0;
-  /// Pivot selections of the WAND loop. 0 under kTaat — the
-  /// exhaustive scan has no pivots.
-  size_t pivot_iterations = 0;
-  /// Cursor repositionings: galloped seeks, batched-run advances and
-  /// single-posting steps. 0 under kTaat.
-  size_t cursor_advances = 0;
-};
-
 /// Named tie-break comparators. The strategy evaluators below are
 /// function templates over the tie order; kernel.cc explicitly
 /// instantiates them for these two types with the scoring kernel's

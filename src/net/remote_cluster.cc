@@ -57,10 +57,10 @@ Attempt ClassifyResponse(Result<std::vector<uint8_t>> raw) {
   return {std::move(raw), bytes};
 }
 
-/// Parses a mutation acknowledgement: the frame must be well-formed, of
-/// the `expected` type, and its body must decode.
+/// Parses a replica's answer: the frame must be well-formed, of the
+/// `expected` type, and its body must decode.
 template <typename Response>
-Result<Response> DecodeMutationAnswer(
+Result<Response> DecodeAnswer(
     const std::vector<uint8_t>& answer, MessageType expected,
     const char* what, Result<Response> (*decode)(const uint8_t*, size_t)) {
   MessageType type;
@@ -390,61 +390,46 @@ Status RemoteClusterIndex::Connect() {
       // and every replica must answer for itself.
       StatsRequest request;
       request.node_id = replicas[r].node_id;
-      const std::vector<uint8_t> frame = EncodeStatsRequest(request);
-      Result<std::vector<uint8_t>> response =
-          Status::Unavailable("no attempts made");
-      for (int attempt = 0; attempt <= options_.retries; ++attempt) {
-        Attempt a = ClassifyResponse(replicas[r].transport->Call(
-            frame, Deadline::After(options_.timeout_ms)));
-        response = std::move(a.frame);
-        if (response.ok()) break;
-      }
-      if (!response.ok()) return response.status();
-      MessageType type;
-      const uint8_t* body = nullptr;
-      size_t body_len = 0;
-      DLS_RETURN_IF_ERROR(
-          DecodeFrame(response.value(), &type, &body, &body_len));
-      if (type != MessageType::kStatsResponse) {
-        return Status::Corruption("stats handshake: unexpected frame type");
-      }
-      Result<StatsResponse> stats = DecodeStatsResponse(body, body_len);
-      if (!stats.ok()) return stats.status();
+      DLS_ASSIGN_OR_RETURN(
+          const std::vector<uint8_t> answer,
+          CallReplica(replicas[r], EncodeStatsRequest(request)));
+      DLS_ASSIGN_OR_RETURN(
+          StatsResponse stats,
+          DecodeAnswer(answer, MessageType::kStatsResponse, "stats handshake",
+                       &DecodeStatsResponse));
       // Adopt the first shard's normalisation pipeline and hold every
       // other shard (and replica) to it: resolving queries through a
       // different stem/stop configuration than the shards indexed with
       // would silently break the remote/in-process bit-identity (and
       // recall).
       if (i == 0 && r == 0) {
-        new_stem = stats.value().stem;
-        new_stop = stats.value().stop;
-      } else if (stats.value().stem != new_stem ||
-                 stats.value().stop != new_stop) {
+        new_stem = stats.stem;
+        new_stop = stats.stop;
+      } else if (stats.stem != new_stem || stats.stop != new_stop) {
         return Status::InvalidArgument(StrFormat(
             "shard %zu replica %zu normalisation (stem=%d stop=%d) disagrees "
             "with shard 0 (stem=%d stop=%d); all shards must index with one "
             "pipeline",
-            i, r, stats.value().stem ? 1 : 0, stats.value().stop ? 1 : 0,
-            new_stem ? 1 : 0, new_stop ? 1 : 0));
+            i, r, stats.stem ? 1 : 0, stats.stop ? 1 : 0, new_stem ? 1 : 0,
+            new_stop ? 1 : 0));
       }
       if (r == 0) {
-        adopted = std::move(stats).value();
+        adopted = std::move(stats);
         continue;
       }
       // Replicas of one shard must serve the same frozen node — that
       // identity is what makes failover/hedging exactness-safe, so the
       // cheap invariants are checked up front rather than trusted.
-      if (stats.value().document_count != adopted.document_count ||
-          stats.value().collection_length != adopted.collection_length ||
-          stats.value().mutation_epoch != adopted.mutation_epoch) {
+      if (stats.document_count != adopted.document_count ||
+          stats.collection_length != adopted.collection_length ||
+          stats.mutation_epoch != adopted.mutation_epoch) {
         return Status::InvalidArgument(StrFormat(
             "shard %zu replica %zu (docs=%llu len=%lld epoch=%llu) disagrees "
             "with replica 0 (docs=%llu len=%lld epoch=%llu); replicas must "
             "serve identical node content",
-            i, r,
-            static_cast<unsigned long long>(stats.value().document_count),
-            static_cast<long long>(stats.value().collection_length),
-            static_cast<unsigned long long>(stats.value().mutation_epoch),
+            i, r, static_cast<unsigned long long>(stats.document_count),
+            static_cast<long long>(stats.collection_length),
+            static_cast<unsigned long long>(stats.mutation_epoch),
             static_cast<unsigned long long>(adopted.document_count),
             static_cast<long long>(adopted.collection_length),
             static_cast<unsigned long long>(adopted.mutation_epoch)));
@@ -487,7 +472,7 @@ size_t RemoteClusterIndex::ShardForUrl(std::string_view url) const {
   return static_cast<size_t>(h % shards_.size());
 }
 
-Result<std::vector<uint8_t>> RemoteClusterIndex::MutateReplica(
+Result<std::vector<uint8_t>> RemoteClusterIndex::CallReplica(
     const Shard& replica, const std::vector<uint8_t>& frame) const {
   Result<std::vector<uint8_t>> response =
       Status::Unavailable("no attempts made");
@@ -535,10 +520,10 @@ Result<uint64_t> RemoteClusterIndex::Insert(std::string_view url,
     DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> frame,
                          EncodeInsertRequest(request));
     DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> answer,
-                         MutateReplica(replicas[r], frame));
+                         CallReplica(replicas[r], frame));
     DLS_ASSIGN_OR_RETURN(
         InsertResponse response,
-        DecodeMutationAnswer(answer, MessageType::kInsertResponse, "insert",
+        DecodeAnswer(answer, MessageType::kInsertResponse, "insert",
                              &DecodeInsertResponse));
     if (r == 0) {
       first = std::move(response);
@@ -574,10 +559,10 @@ Result<bool> RemoteClusterIndex::Delete(std::string_view url) {
     DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> frame,
                          EncodeDeleteRequest(request));
     DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> answer,
-                         MutateReplica(replicas[r], frame));
+                         CallReplica(replicas[r], frame));
     DLS_ASSIGN_OR_RETURN(
         DeleteResponse response,
-        DecodeMutationAnswer(answer, MessageType::kDeleteResponse, "delete",
+        DecodeAnswer(answer, MessageType::kDeleteResponse, "delete",
                              &DecodeDeleteResponse));
     if (r == 0) {
       first = std::move(response);
@@ -610,10 +595,10 @@ Status RemoteClusterIndex::MergeAll() {
       request.node_id = replicas[r].node_id;
       const std::vector<uint8_t> frame = EncodeMergeRequest(request);
       DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> answer,
-                           MutateReplica(replicas[r], frame));
+                           CallReplica(replicas[r], frame));
       DLS_ASSIGN_OR_RETURN(
           const MergeResponse response,
-          DecodeMutationAnswer(answer, MessageType::kMergeResponse, "merge",
+          DecodeAnswer(answer, MessageType::kMergeResponse, "merge",
                                &DecodeMergeResponse));
       if (r == 0) {
         epoch = response.epoch;
@@ -696,21 +681,15 @@ std::vector<std::vector<ir::ClusterScoredDoc>> RemoteClusterIndex::QueryBatch(
   // Shared for the whole batch: resolution and stats aggregation see
   // one handshake, never a mid-mutation mix.
   std::shared_lock<std::shared_mutex> stats_lock(stats_mu_);
-  std::vector<ir::ShardQuery> batch(queries.size());
-  std::vector<double> idf_masses(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    batch[q].collection_length = collection_length_;
-    batch[q].n = n;
-    batch[q].max_fragments = max_fragments;
-    batch[q].options = options;
-    idf_masses[q] = ir::ResolveShardQuery(
-        queries[q], norm_stem_, norm_stop_,
-        [this](std::string_view stem) {
-          auto it = global_df_.find(stem);
-          return it == global_df_.end() ? 0 : it->second;
-        },
-        &batch[q]);
-  }
+  std::vector<ir::ShardQuery> batch;
+  const std::vector<double> idf_masses = ir::ResolveShardBatch(
+      queries, norm_stem_, norm_stop_, collection_length_, n, max_fragments,
+      options,
+      [this](std::string_view stem) {
+        auto it = global_df_.find(stem);
+        return it == global_df_.end() ? 0 : it->second;
+      },
+      &batch);
   // Remote nodes are separate processes: the shared θ never crosses
   // the wire.
   return ir::CoordinateBatch(

@@ -289,10 +289,11 @@ class RemoteClusterIndex {
   /// Completion channel between a caller and its async attempts.
   struct HedgedCall;
 
-  /// One non-hedged, non-failover exchange with a specific replica
-  /// (mutations must hit every replica, not any one of them); retries
-  /// the same replica Options::retries times like Connect() does.
-  Result<std::vector<uint8_t>> MutateReplica(
+  /// One non-hedged, non-failover exchange with a specific replica,
+  /// retried on that replica Options::retries times: the stats
+  /// handshake and the mutations must hit every replica, not any one
+  /// of them.
+  Result<std::vector<uint8_t>> CallReplica(
       const Shard& replica, const std::vector<uint8_t>& frame) const;
 
   /// Applies an acknowledged insert (`sign` +1) or delete (-1) on

@@ -75,20 +75,15 @@ Result<std::vector<uint8_t>> ShardServer::HandleFrame(
       // same epoch.
       const std::shared_ptr<const ingest::LiveIndex::Snapshot> snapshot =
           node.Pin();
+      ir::RankStats batch_work;
       for (const ir::ShardQuery& query : req.queries) {
         response.results.push_back(
             ingest::EvaluateLiveShardQuery(*snapshot, query));
-        const ir::ShardResult& r = response.results.back();
-        node.work->postings_touched.fetch_add(r.postings_touched,
-                                              std::memory_order_relaxed);
-        node.work->blocks_skipped.fetch_add(r.blocks_skipped,
-                                            std::memory_order_relaxed);
-        node.work->blocks_decoded.fetch_add(r.blocks_decoded,
-                                            std::memory_order_relaxed);
-        node.work->pivot_iterations.fetch_add(r.pivot_iterations,
-                                              std::memory_order_relaxed);
-        node.work->cursor_advances.fetch_add(r.cursor_advances,
-                                             std::memory_order_relaxed);
+        batch_work += response.results.back().work;
+      }
+      {
+        std::lock_guard<std::mutex> lock(node.work->mu);
+        node.work->total += batch_work;
       }
       Result<std::vector<uint8_t>> encoded = EncodeQueryResponse(response);
       if (!encoded.ok()) return EncodeError(encoded.status());
@@ -113,17 +108,10 @@ Result<std::vector<uint8_t>> ShardServer::HandleFrame(
       response.collection_length = snapshot->collection_length();
       response.document_count = snapshot->live_docs();
       response.mutation_epoch = snapshot->epoch();
-      const Node::WorkCounters& work = *node.work;
-      response.postings_touched =
-          work.postings_touched.load(std::memory_order_relaxed);
-      response.blocks_skipped =
-          work.blocks_skipped.load(std::memory_order_relaxed);
-      response.blocks_decoded =
-          work.blocks_decoded.load(std::memory_order_relaxed);
-      response.pivot_iterations =
-          work.pivot_iterations.load(std::memory_order_relaxed);
-      response.cursor_advances =
-          work.cursor_advances.load(std::memory_order_relaxed);
+      {
+        std::lock_guard<std::mutex> lock(node.work->mu);
+        response.work = node.work->total;
+      }
       response.term_dfs = snapshot->EffectiveDfList();
       // A vocabulary too large for one frame is a clear protocol-level
       // error (the encoder names the cap), not "corruption" at the

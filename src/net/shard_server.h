@@ -1,9 +1,9 @@
 #ifndef DLS_NET_SHARD_SERVER_H_
 #define DLS_NET_SHARD_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -74,21 +74,17 @@ class ShardServer : public FrameServer {
     /// synchronised and mutation frames are part of its protocol, not
     /// the server's state.
     ingest::LiveIndex* live = nullptr;
-    /// Cumulative per-node evaluation work (ir::RankStats summed over
-    /// every served query) — reported in StatsResponse so remote work
-    /// accounting stays comparable with the in-process
-    /// ClusterQueryStats. Relaxed atomics: independent monotone
-    /// counters read for monitoring, not for synchronisation.
-    struct WorkCounters {
-      std::atomic<uint64_t> postings_touched{0};
-      std::atomic<uint64_t> blocks_skipped{0};
-      std::atomic<uint64_t> blocks_decoded{0};
-      std::atomic<uint64_t> pivot_iterations{0};
-      std::atomic<uint64_t> cursor_advances{0};
+    /// Cumulative evaluation work of every query served from this
+    /// node, reported in StatsResponse so remote work accounting stays
+    /// comparable with the in-process ClusterQueryStats. It grows once
+    /// per served batch and the handshake copies it whole, both under
+    /// `mu`, so one handshake's counters all cover the same batches.
+    struct Work {
+      std::mutex mu;
+      ir::RankStats total;  // guarded by mu
     };
     /// unique_ptr so Node stays movable (vector growth).
-    std::unique_ptr<WorkCounters> work =
-        std::make_unique<WorkCounters>();
+    std::unique_ptr<Work> work = std::make_unique<Work>();
 
     /// A live node's current snapshot, or a frozen node's own.
     std::shared_ptr<const ingest::LiveIndex::Snapshot> Pin() const {

@@ -154,17 +154,23 @@ void WriteShardQuery(const ir::ShardQuery& q, FrameWriter* w) {
   }
 }
 
+/// An evaluation's work, as QueryResponse and StatsResponse carry it:
+/// five varints in this order.
+void WriteRankStats(const ir::RankStats& s, FrameWriter* w) {
+  w->Varint64(s.postings_touched);
+  w->Varint64(s.blocks_skipped);
+  w->Varint64(s.blocks_decoded);
+  w->Varint64(s.pivot_iterations);
+  w->Varint64(s.cursor_advances);
+}
+
 void WriteShardResult(const ir::ShardResult& r, FrameWriter* w) {
   w->Varint32(static_cast<uint32_t>(r.top.size()));
   for (const ir::ClusterScoredDoc& d : r.top) {
     w->String(d.url);
     w->F64(d.score);
   }
-  w->Varint64(r.postings_touched);
-  w->Varint64(r.blocks_skipped);
-  w->Varint64(r.blocks_decoded);
-  w->Varint64(r.pivot_iterations);
-  w->Varint64(r.cursor_advances);
+  WriteRankStats(r.work, w);
   w->F64(r.elapsed_us);
   w->BitVector(r.stem_evaluated);
 }
@@ -344,6 +350,14 @@ bool ReadStatsDelta(BodyReader* r, ingest::StatsDelta* delta) {
   return true;
 }
 
+void ReadRankStats(BodyReader* r, ir::RankStats* s) {
+  s->postings_touched = r->Varint64();
+  s->blocks_skipped = r->Varint64();
+  s->blocks_decoded = r->Varint64();
+  s->pivot_iterations = r->Varint64();
+  s->cursor_advances = r->Varint64();
+}
+
 bool ReadShardResult(BodyReader* r, ir::ShardResult* out) {
   const uint32_t docs = r->Count(/*min_bytes_each=*/9);
   if (r->failed()) return false;
@@ -355,11 +369,7 @@ bool ReadShardResult(BodyReader* r, ir::ShardResult* out) {
     if (r->failed()) return false;
     out->top.push_back(std::move(d));
   }
-  out->postings_touched = r->Varint64();
-  out->blocks_skipped = r->Varint64();
-  out->blocks_decoded = r->Varint64();
-  out->pivot_iterations = r->Varint64();
-  out->cursor_advances = r->Varint64();
+  ReadRankStats(r, &out->work);
   out->elapsed_us = r->F64();
   out->stem_evaluated = r->BitVector();
   return !r->failed();
@@ -399,11 +409,7 @@ Result<std::vector<uint8_t>> EncodeStatsResponse(
   w.Varint64(static_cast<uint64_t>(response.collection_length));
   w.Varint64(response.document_count);
   w.Varint64(response.mutation_epoch);
-  w.Varint64(response.postings_touched);
-  w.Varint64(response.blocks_skipped);
-  w.Varint64(response.blocks_decoded);
-  w.Varint64(response.pivot_iterations);
-  w.Varint64(response.cursor_advances);
+  WriteRankStats(response.work, &w);
   w.Varint32(static_cast<uint32_t>(response.term_dfs.size()));
   for (const auto& [term, df] : response.term_dfs) {
     w.String(term);
@@ -641,11 +647,7 @@ Result<StatsResponse> DecodeStatsResponse(const uint8_t* body, size_t len) {
   response.collection_length = static_cast<int64_t>(r.Varint64());
   response.document_count = r.Varint64();
   response.mutation_epoch = r.Varint64();
-  response.postings_touched = r.Varint64();
-  response.blocks_skipped = r.Varint64();
-  response.blocks_decoded = r.Varint64();
-  response.pivot_iterations = r.Varint64();
-  response.cursor_advances = r.Varint64();
+  ReadRankStats(&r, &response.work);
   const uint32_t terms = r.Count(/*min_bytes_each=*/2);
   if (r.failed()) return Truncated("StatsResponse");
   response.term_dfs.reserve(terms);

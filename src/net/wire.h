@@ -32,13 +32,15 @@ namespace dls::net {
 ///                     with its global df
 ///   2 QueryResponse   node_id, then one ShardResult per request
 ///                     query: RES(url, score(f64)) tuples, work
-///                     accounting, and the stem_evaluated bitmap
+///                     accounting (ir::RankStats, five varints),
+///                     elapsed_us and the stem_evaluated bitmap
 ///   3 StatsRequest    node_id — asks a node for its local statistics
 ///   4 StatsResponse   node_id, the node's normalisation flags
-///                     (stem/stop), collection_length, document count
-///                     and the full (term, df) table, which is what
-///                     the client aggregates into the global df
-///                     relation
+///                     (stem/stop), collection_length, document count,
+///                     mutation epoch, the node's running work total
+///                     (row 2's five varints) and the full (term, df)
+///                     table, which is what the client aggregates into
+///                     the global df relation
 ///   5 Error           status code + message (the server's reply to a
 ///                     frame it cannot parse or serve). Codes travel
 ///                     as stable wire values (see wire.cc) that are
@@ -156,16 +158,13 @@ struct StatsResponse {
   /// sums these into a cluster epoch — the invalidation key the
   /// serving layer's result cache uses (stale after any reindex).
   uint64_t mutation_epoch = 0;
-  /// Cumulative work accounting (ir::RankStats) over every query this
-  /// server has evaluated against the node since it started — the
-  /// remote counterpart of summing ClusterQueryStats across queries,
-  /// so in-process and remote work stay comparable without shipping a
-  /// frame per probe.
-  uint64_t postings_touched = 0;
-  uint64_t blocks_skipped = 0;
-  uint64_t blocks_decoded = 0;
-  uint64_t pivot_iterations = 0;
-  uint64_t cursor_advances = 0;
+  /// The node's running work total over every query this server has
+  /// evaluated against it since it started, copied whole under the
+  /// node's lock, so its counters all cover the same served batches —
+  /// the remote counterpart of summing ClusterQueryStats across
+  /// queries, without shipping a frame per probe. Encoded as a
+  /// ShardResult's work is.
+  ir::RankStats work;
   std::vector<std::pair<std::string, int32_t>> term_dfs;
 };
 

@@ -16,20 +16,14 @@ std::vector<std::vector<ir::ClusterScoredDoc>> LiveBackend::QueryBatch(
   // a background merge swapping parts mid-batch.
   const std::shared_ptr<const ingest::LiveIndex::Snapshot> snapshot =
       live_->Pin();
-  std::vector<ir::ShardQuery> batch(queries.size());
-  std::vector<double> idf_masses(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    batch[q].collection_length = snapshot->collection_length();
-    batch[q].n = n;
-    batch[q].max_fragments = max_fragments;
-    batch[q].options = options;
-    idf_masses[q] = ir::ResolveShardQuery(
-        queries[q], live_->options().node.stem, live_->options().node.stop,
-        [&snapshot](std::string_view stem) {
-          return snapshot->EffectiveDf(stem);
-        },
-        &batch[q]);
-  }
+  std::vector<ir::ShardQuery> batch;
+  const std::vector<double> idf_masses = ir::ResolveShardBatch(
+      queries, live_->options().node.stem, live_->options().node.stop,
+      snapshot->collection_length(), n, max_fragments, options,
+      [&snapshot](std::string_view stem) {
+        return snapshot->EffectiveDf(stem);
+      },
+      &batch);
   return ir::CoordinateBatch(
       std::move(batch), idf_masses, {snapshot->live_docs()},
       /*executor=*/nullptr,

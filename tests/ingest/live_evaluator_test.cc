@@ -261,5 +261,80 @@ TEST(LiveEvaluatorTest, DeletedBestHitsOutnumberN) {
   }
 }
 
+// A node with several parts does the work of its parts, summed: the
+// contract EvaluateLiveShardQuery states. Snapshot::Query sums its
+// parts the same way, so an exhaustive scan touches exactly the
+// postings of each part's query stems that are still live somewhere.
+TEST(LiveEvaluatorTest, ManyPartWorkIsTheSumOfItsParts) {
+  Rng rng(24);
+  ZipfSampler zipf(30, 1.0);
+  LiveIndexOptions options;
+  options.delta_seal_docs = 8;
+  LiveIndex live(options);
+  std::vector<Doc> docs;
+  // The run is long enough for pruning to skip whole blocks.
+  constexpr size_t kRunDocs = 400;
+  for (size_t i = 0; i < kRunDocs; ++i) {
+    // Only document 3 holds "solo"; deleting it leaves the run holding
+    // a stem whose effective df is 0.
+    Insert(&live, &docs, StrFormat("run-%03zu", i),
+           Body(&rng, &zipf, 12) + (i == 3 ? " solo" : ""));
+  }
+  live.Merge();
+  for (size_t i = 0; i < 11; ++i) {
+    Insert(&live, &docs, StrFormat("delta-%02zu", i), Body(&rng, &zipf, 12));
+  }
+  // A delete in the run, in the sealed delta part and in the active one.
+  for (size_t i : {size_t{3}, kRunDocs + 2, kRunDocs + 9}) {
+    Delete(&live, &docs, i);
+  }
+  std::shared_ptr<const LiveIndex::Snapshot> snap = live.Pin();
+  ASSERT_EQ(3u, snap->parts().size());
+  EXPECT_TRUE(snap->parts()[0]->frozen);
+  EXPECT_EQ(8u, snap->parts()[1]->global_ids.size());
+  EXPECT_EQ(3u, snap->parts()[2]->global_ids.size());
+  EXPECT_EQ(std::vector<uint32_t>({1, 1, 1}), snap->part_tombstones());
+
+  std::unique_ptr<ir::TextIndex> rebuild = RebuildLive(docs);
+  const std::vector<std::vector<std::string>> queries = {
+      {"term000", "term005"}, {"term001"}, {"solo", "term002", "term009"}};
+  ir::RankStats all_work;
+  for (const auto& words : queries) {
+    for (const auto& [name, config] : Configs()) {
+      const std::string what = words[0] + " " + name;
+      const ir::ShardQuery query = Resolve(*rebuild, words, 10, config);
+      ir::RankStats parts_work;
+      for (size_t pi = 0; pi < snap->parts().size(); ++pi) {
+        const LiveIndex::Part& part = *snap->parts()[pi];
+        parts_work += ir::EvaluateShardQuery(
+                              *part.index, part.fragments.get(), query,
+                              /*shared_theta=*/nullptr, snap->part_live(pi))
+                          .work;
+      }
+      EXPECT_EQ(EvaluateLiveShardQuery(*snap, query).work, parts_work)
+          << what;
+      all_work += parts_work;
+
+      if (config.strategy != ir::RankStrategy::kTaat || config.prune) continue;
+      size_t postings = 0;
+      for (const auto& part : snap->parts()) {
+        for (const std::string& stem : query.stems) {
+          std::optional<ir::TermId> t = part->index->LookupTerm(stem);
+          if (t) postings += part->index->postings(*t).size();
+        }
+      }
+      ir::RankStats stats;
+      snap->Query(words, 10, config, &stats);
+      EXPECT_EQ(postings, stats.postings_touched) << what;
+    }
+  }
+  // Every counter moved, so none of the sums above compared 0 with 0.
+  EXPECT_GT(all_work.postings_touched, 0u);
+  EXPECT_GT(all_work.blocks_skipped, 0u);
+  EXPECT_GT(all_work.blocks_decoded, 0u);
+  EXPECT_GT(all_work.pivot_iterations, 0u);
+  EXPECT_GT(all_work.cursor_advances, 0u);
+}
+
 }  // namespace
 }  // namespace dls::ingest

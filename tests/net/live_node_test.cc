@@ -184,11 +184,7 @@ TEST(LiveClusterTest, FrozenAndOneRunLiveNodesDoIdenticalWork) {
         const ir::ShardResult b = QueryNode(&transport, live_node, query);
         ExpectSameTop(a, b, what);
         EXPECT_EQ(a.stem_evaluated, b.stem_evaluated) << what;
-        EXPECT_EQ(a.postings_touched, b.postings_touched) << what;
-        EXPECT_EQ(a.blocks_skipped, b.blocks_skipped) << what;
-        EXPECT_EQ(a.blocks_decoded, b.blocks_decoded) << what;
-        EXPECT_EQ(a.pivot_iterations, b.pivot_iterations) << what;
-        EXPECT_EQ(a.cursor_advances, b.cursor_advances) << what;
+        EXPECT_EQ(a.work, b.work) << what;
       }
     }
   }
@@ -202,11 +198,7 @@ TEST(LiveClusterTest, FrozenAndOneRunLiveNodesDoIdenticalWork) {
   EXPECT_EQ(a.document_count, b.document_count);
   EXPECT_EQ(a.collection_length, b.collection_length);
   EXPECT_EQ(a.term_dfs, b.term_dfs);
-  EXPECT_EQ(a.postings_touched, b.postings_touched);
-  EXPECT_EQ(a.blocks_skipped, b.blocks_skipped);
-  EXPECT_EQ(a.blocks_decoded, b.blocks_decoded);
-  EXPECT_EQ(a.pivot_iterations, b.pivot_iterations);
-  EXPECT_EQ(a.cursor_advances, b.cursor_advances);
+  EXPECT_EQ(a.work, b.work);
   EXPECT_EQ(a.mutation_epoch, frozen.mutation_epoch());
   EXPECT_EQ(b.mutation_epoch, live.epoch());
 }
@@ -252,20 +244,20 @@ TEST(LiveClusterTest, LiveHandshakeReportsServedWork) {
           &transport, node,
           Resolve(words, df, before.collection_length, 5, kFragments,
                   query_options));
-      postings += r.postings_touched;
-      skipped += r.blocks_skipped;
-      decoded += r.blocks_decoded;
-      pivots += r.pivot_iterations;
-      advances += r.cursor_advances;
+      postings += r.work.postings_touched;
+      skipped += r.work.blocks_skipped;
+      decoded += r.work.blocks_decoded;
+      pivots += r.work.pivot_iterations;
+      advances += r.work.cursor_advances;
     }
   }
   ASSERT_GT(postings, 0u);
   const StatsResponse after = StatsOf(&transport, node);
-  EXPECT_EQ(postings, after.postings_touched);
-  EXPECT_EQ(skipped, after.blocks_skipped);
-  EXPECT_EQ(decoded, after.blocks_decoded);
-  EXPECT_EQ(pivots, after.pivot_iterations);
-  EXPECT_EQ(advances, after.cursor_advances);
+  EXPECT_EQ(postings, after.work.postings_touched);
+  EXPECT_EQ(skipped, after.work.blocks_skipped);
+  EXPECT_EQ(decoded, after.work.blocks_decoded);
+  EXPECT_EQ(pivots, after.work.pivot_iterations);
+  EXPECT_EQ(advances, after.work.cursor_advances);
 }
 
 uint64_t FaultSeed() {

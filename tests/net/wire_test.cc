@@ -97,11 +97,11 @@ TEST(WireTest, QueryResponseRoundTripsScoresBitExactly) {
       r.top.push_back(
           {v + d == 0 ? "" : "doc" + std::to_string(d), kTrickyDoubles[d]});
     }
-    r.postings_touched = kVarint64Boundaries[v];
-    r.blocks_skipped = kVarint64Boundaries[8 - v];
-    r.blocks_decoded = kVarint64Boundaries[(v + 2) % 9];
-    r.pivot_iterations = kVarint64Boundaries[(v + 4) % 9];
-    r.cursor_advances = kVarint64Boundaries[(v + 6) % 9];
+    r.work.postings_touched = kVarint64Boundaries[v];
+    r.work.blocks_skipped = kVarint64Boundaries[8 - v];
+    r.work.blocks_decoded = kVarint64Boundaries[(v + 2) % 9];
+    r.work.pivot_iterations = kVarint64Boundaries[(v + 4) % 9];
+    r.work.cursor_advances = kVarint64Boundaries[(v + 6) % 9];
     r.elapsed_us = kTrickyDoubles[v];
     // Bitmap sizes straddling byte boundaries: 0, 1, 8, 9, 17 bits.
     const size_t mask_bits[] = {0, 1, 8, 9, 17};
@@ -129,11 +129,7 @@ TEST(WireTest, QueryResponseRoundTripsScoresBitExactly) {
       EXPECT_EQ(a.top[d].url, b.top[d].url);
       EXPECT_EQ(Bits(a.top[d].score), Bits(b.top[d].score));
     }
-    EXPECT_EQ(a.postings_touched, b.postings_touched);
-    EXPECT_EQ(a.blocks_skipped, b.blocks_skipped);
-    EXPECT_EQ(a.blocks_decoded, b.blocks_decoded);
-    EXPECT_EQ(a.pivot_iterations, b.pivot_iterations);
-    EXPECT_EQ(a.cursor_advances, b.cursor_advances);
+    EXPECT_EQ(a.work, b.work);
     EXPECT_EQ(Bits(a.elapsed_us), Bits(b.elapsed_us));
     EXPECT_EQ(a.stem_evaluated, b.stem_evaluated);
   }
@@ -158,11 +154,11 @@ TEST(WireTest, StatsRoundTrip) {
   response.stop = true;
   response.collection_length = (static_cast<int64_t>(1) << 48) + 17;
   response.document_count = 1234567;
-  response.postings_touched = kVarint64Boundaries[3];
-  response.blocks_skipped = kVarint64Boundaries[5];
-  response.blocks_decoded = kVarint64Boundaries[7];
-  response.pivot_iterations = kVarint64Boundaries[2];
-  response.cursor_advances = kVarint64Boundaries[6];
+  response.work.postings_touched = kVarint64Boundaries[3];
+  response.work.blocks_skipped = kVarint64Boundaries[5];
+  response.work.blocks_decoded = kVarint64Boundaries[7];
+  response.work.pivot_iterations = kVarint64Boundaries[2];
+  response.work.cursor_advances = kVarint64Boundaries[6];
   for (uint32_t df : kVarint32Boundaries) {
     if (df == 0 || df > 0x7fffffffu) continue;
     response.term_dfs.emplace_back("t" + std::to_string(df),
@@ -177,12 +173,59 @@ TEST(WireTest, StatsRoundTrip) {
   EXPECT_EQ(res.value().stop, response.stop);
   EXPECT_EQ(res.value().collection_length, response.collection_length);
   EXPECT_EQ(res.value().document_count, response.document_count);
-  EXPECT_EQ(res.value().postings_touched, response.postings_touched);
-  EXPECT_EQ(res.value().blocks_skipped, response.blocks_skipped);
-  EXPECT_EQ(res.value().blocks_decoded, response.blocks_decoded);
-  EXPECT_EQ(res.value().pivot_iterations, response.pivot_iterations);
-  EXPECT_EQ(res.value().cursor_advances, response.cursor_advances);
+  EXPECT_EQ(res.value().work, response.work);
   EXPECT_EQ(res.value().term_dfs, response.term_dfs);
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (uint8_t b : bytes) {
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 15];
+  }
+  return hex;
+}
+
+// Pins where the five work counters sit in both frames that carry
+// them; the literals were encoded before the counters became one
+// ir::RankStats. A round trip cannot pin this: a writer and reader
+// reordered together still agree. Each counter has a distinct value of
+// a distinct varint length (1 to 5 bytes), so any reordering changes
+// the bytes.
+TEST(WireTest, WorkCountersEncodeAsBefore) {
+  QueryResponse query;
+  query.node_id = 2;
+  ir::ShardResult r;
+  r.top.push_back({"u", 0.5});
+  r.work.postings_touched = 1;
+  r.work.blocks_skipped = 300;
+  r.work.blocks_decoded = 70000;
+  r.work.pivot_iterations = 1u << 22;
+  r.work.cursor_advances = 1u << 29;
+  r.elapsed_us = 2.0;
+  r.stem_evaluated = {true, false, true};
+  query.results.push_back(std::move(r));
+  EXPECT_EQ(Hex(EncodeQueryResponse(query).value()),
+            "27000000020201010175000000000000e03f"
+            "01ac02f0a204808080028080808002"
+            "00000000000000400305");
+
+  StatsResponse stats;
+  stats.node_id = 5;
+  stats.collection_length = 9;
+  stats.document_count = 3;
+  stats.mutation_epoch = 4;
+  stats.work.postings_touched = 1u << 29;
+  stats.work.blocks_skipped = 1u << 22;
+  stats.work.blocks_decoded = 70000;
+  stats.work.pivot_iterations = 300;
+  stats.work.cursor_advances = 1;
+  stats.term_dfs = {{"a", 2}};
+  EXPECT_EQ(Hex(EncodeStatsResponse(stats).value()),
+            "190000000405030903048080808002"
+            "80808002f0a204ac0201"
+            "01016102");
 }
 
 TEST(WireTest, StatsResponseCarriesMutationEpoch) {
