@@ -35,15 +35,17 @@
 #                       suites, the serve fault suite, the live
 #                       mutate-while-query suite, the live stats-
 #                       delta schedule (every mutation's delta checked
-#                       against a fresh stats handshake) and the live
+#                       against a fresh stats handshake), the live
 #                       node schedule (insert/re-insert/delete/merge on
 #                       2-3 live nodes behind one ShardServer, every
 #                       node's answer checked against a rebuild of its
 #                       live documents and its deletion state against a
-#                       shadow model) under a deterministic randomized
-#                       schedule, once per seed in DLS_FAULT_SEEDS
-#                       (default "1 7 42"), then the same schedule
-#                       under the packed kernel.
+#                       shadow model), the lost-ack writes (an insert,
+#                       delete or merge whose ack is cut reaches its
+#                       node once) and replicas merged apart (kInternal),
+#                       under a deterministic randomized schedule, once
+#                       per seed in DLS_FAULT_SEEDS (default "1 7 42"),
+#                       then the same schedule under the packed kernel.
 #                       Every seed must keep every answer bit-identical
 #                       at full quality — failover and hedging are only
 #                       allowed to hide faults, never to change results,
@@ -117,10 +119,11 @@ faults() {
   local live_filter='LiveConcurrencyTest*'
   local delta_filter='LiveClusterTest.StatsDeltas*'
   local node_filter='LiveClusterTest.SeededSchedule*'
+  local write_filter='LiveClusterTest.LostAck*:LiveClusterTest.ReplicasMergedApart*'
   for seed in ${DLS_FAULT_SEEDS:-1 7 42}; do
     echo "== fault schedule, seed $seed =="
     DLS_FAULT_SEED="$seed" ./build/tests/dls_net_tests \
-      --gtest_filter="$filter:$delta_filter:$node_filter"
+      --gtest_filter="$filter:$delta_filter:$node_filter:$write_filter"
     DLS_FAULT_SEED="$seed" ./build/tests/dls_serve_tests \
       --gtest_filter="$filter"
     DLS_FAULT_SEED="$seed" ./build/tests/dls_ingest_tests \
@@ -128,7 +131,7 @@ faults() {
   done
   echo "== fault schedule under the packed kernel, seed 1 =="
   DLS_KERNEL=packed ./build/tests/dls_net_tests \
-    --gtest_filter="$filter:$delta_filter:$node_filter"
+    --gtest_filter="$filter:$delta_filter:$node_filter:$write_filter"
   DLS_KERNEL=packed ./build/tests/dls_serve_tests --gtest_filter="$filter"
   DLS_KERNEL=packed ./build/tests/dls_ingest_tests \
     --gtest_filter="$live_filter"

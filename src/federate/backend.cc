@@ -155,16 +155,6 @@ CandidateSet UnionSets(const CandidateSet& a, const CandidateSet& b) {
 // ---------------------------------------------------------------------------
 // WebspaceBackend
 
-WebspaceBackend::WebspaceBackend(const webspace::WebspaceInstance* instance)
-    : instance_(instance) {
-  cap_.name = "webspace";
-  cap_.supports_ranking = false;
-  cap_.supports_pushdown = false;
-  // Association-following makes a webspace probe pricier than a flat
-  // table scan but far cheaper than posting-list work.
-  cap_.cost_per_candidate = 4.0;
-}
-
 Status WebspaceBackend::Accepts(const Predicate& pred) const {
   if (pred.kind != PredKind::kWebspace) {
     return Status::InvalidArgument("webspace backend got non-webspace predicate");
@@ -270,12 +260,6 @@ CobraBackend::CobraBackend(std::vector<CobraEvent> table)
       last = row.id;
     }
   }
-  cap_.name = "cobra";
-  cap_.supports_ranking = false;
-  cap_.supports_pushdown = false;
-  // A sorted in-memory detection table: the cheapest probe of the
-  // three levels.
-  cap_.cost_per_candidate = 1.0;
 }
 
 Status CobraBackend::Accepts(const Predicate& pred) const {
@@ -345,11 +329,6 @@ TextBackend::TextBackend(const ir::ClusterIndex* cluster)
     entity_ids_.push_back(id);
     entity_docs_.push_back(std::move(docs));
   }
-  cap_.name = "text";
-  cap_.supports_ranking = true;
-  cap_.supports_pushdown = true;
-  // Posting-list work dominates everything else the mediator touches.
-  cap_.cost_per_candidate = 8.0;
 }
 
 Status TextBackend::CheckFrozen() const {
@@ -454,19 +433,6 @@ std::vector<std::string> TextBackend::DocsOfEntities(
   std::sort(urls.begin(), urls.end());
   urls.erase(std::unique(urls.begin(), urls.end()), urls.end());
   return urls;
-}
-
-Result<std::vector<ir::ClusterScoredDoc>> TextBackend::Rank(
-    const std::vector<std::string>& words, size_t n, size_t max_fragments,
-    const ir::RankOptions& options, const CandidateSet* filter,
-    ir::ClusterQueryStats* stats) const {
-  DLS_RETURN_IF_ERROR(CheckFrozen());
-  if (filter == nullptr) {
-    return cluster_->Query(words, n, max_fragments, stats, options);
-  }
-  const ir::ClusterDocFilter doc_filter = BuildFilter(*filter);
-  return cluster_->Query(words, n, max_fragments, stats, options,
-                         &doc_filter);
 }
 
 // ---------------------------------------------------------------------------

@@ -30,17 +30,6 @@ CandidateSet UnionSets(const CandidateSet& a, const CandidateSet& b);
 /// normalisation happens inside the index, as for any text query).
 std::vector<std::string> SplitQueryWords(const std::string& text);
 
-/// What a backend advertises to the planner: how it may be used and
-/// roughly what an exhaustive EvalFilter costs per stored candidate.
-/// The planner multiplies cost_per_candidate by the backend's universe
-/// size to order equally-selective predicates cheapest-first.
-struct BackendCapability {
-  std::string name;
-  bool supports_ranking = false;   ///< can produce scored results
-  bool supports_pushdown = false;  ///< can honour a candidate bitmap
-  double cost_per_candidate = 1.0;
-};
-
 /// A federated backend: one source the mediator can plan over. All
 /// implementations are read-only after construction and safe to share
 /// across concurrent Execute() calls.
@@ -48,7 +37,10 @@ class FederateBackend {
  public:
   virtual ~FederateBackend() = default;
 
-  virtual const BackendCapability& capability() const = 0;
+  /// Roughly what an exhaustive EvalFilter costs per stored candidate,
+  /// relative to the other backends. The planner sums it over a step's
+  /// predicates to order equally-selective steps cheapest-first.
+  virtual double cost_per_candidate() const = 0;
 
   /// Validates that this backend can evaluate `pred` (kind matches,
   /// constraint paths/operators make sense for this source). Called by
@@ -62,8 +54,8 @@ class FederateBackend {
   virtual double EstimateSelectivity(const Predicate& pred) const = 0;
 
   /// Exhaustively evaluates `pred` to the sorted id set of satisfying
-  /// entities. This is the boolean-filter path; the text backend
-  /// additionally offers ranked evaluation below.
+  /// entities. This is the boolean-filter path; ranking happens in the
+  /// mediator, over the text backend's cluster.
   virtual Result<CandidateSet> EvalFilter(const Predicate& pred) const = 0;
 };
 
@@ -86,16 +78,18 @@ class FederateBackend {
 ///                 `attr OP V` (for != : no linked object equals V).
 class WebspaceBackend : public FederateBackend {
  public:
-  explicit WebspaceBackend(const webspace::WebspaceInstance* instance);
+  explicit WebspaceBackend(const webspace::WebspaceInstance* instance)
+      : instance_(instance) {}
 
-  const BackendCapability& capability() const override { return cap_; }
+  /// Association-following makes a webspace probe pricier than a flat
+  /// table scan but far cheaper than posting-list work.
+  double cost_per_candidate() const override { return 4.0; }
   Status Accepts(const Predicate& pred) const override;
   double EstimateSelectivity(const Predicate& pred) const override;
   Result<CandidateSet> EvalFilter(const Predicate& pred) const override;
 
  private:
   const webspace::WebspaceInstance* instance_;
-  BackendCapability cap_;
 };
 
 /// One row of the precomputed COBRA detection table: object `id`
@@ -118,7 +112,9 @@ class CobraBackend : public FederateBackend {
   /// derived candidate sets are deterministic.
   explicit CobraBackend(std::vector<CobraEvent> table);
 
-  const BackendCapability& capability() const override { return cap_; }
+  /// A sorted in-memory detection table: the cheapest probe of the
+  /// three levels.
+  double cost_per_candidate() const override { return 1.0; }
   Status Accepts(const Predicate& pred) const override;
   double EstimateSelectivity(const Predicate& pred) const override;
   Result<CandidateSet> EvalFilter(const Predicate& pred) const override;
@@ -128,7 +124,6 @@ class CobraBackend : public FederateBackend {
  private:
   std::vector<CobraEvent> table_;
   size_t distinct_ids_ = 0;
-  BackendCapability cap_;
 };
 
 /// Ranked full-text backend (level 2) over the partitioned cluster
@@ -147,7 +142,8 @@ class TextBackend : public FederateBackend {
  public:
   explicit TextBackend(const ir::ClusterIndex* cluster);
 
-  const BackendCapability& capability() const override { return cap_; }
+  /// Posting-list work dominates everything else the mediator touches.
+  double cost_per_candidate() const override { return 8.0; }
 
   /// kUnavailable when the cluster's mutation epoch moved past the
   /// snapshot this backend was built from (rebuild the backend to
@@ -160,17 +156,6 @@ class TextBackend : public FederateBackend {
   /// normalised stem of the predicate's words (stopword-only queries
   /// yield the empty set).
   Result<CandidateSet> EvalFilter(const Predicate& pred) const override;
-
-  /// Ranked evaluation with optional candidate pushdown. `filter`
-  /// nullptr ranks the whole cluster; otherwise only documents whose
-  /// entity is in the (sorted) set are scored — bit-identical to
-  /// ranking everything and discarding non-candidates (see
-  /// RankOptions::doc_filter). Fails with CheckFrozen()'s status when
-  /// the cluster mutated since construction.
-  Result<std::vector<ir::ClusterScoredDoc>> Rank(
-      const std::vector<std::string>& words, size_t n, size_t max_fragments,
-      const ir::RankOptions& options, const CandidateSet* filter,
-      ir::ClusterQueryStats* stats) const;
 
   /// Builds the per-node candidate bitmaps for a sorted entity set.
   /// Entities without any indexed document contribute no bits.
@@ -194,7 +179,6 @@ class TextBackend : public FederateBackend {
   /// Parallel sorted vectors (entity_ids_ ascending, unique).
   std::vector<std::string> entity_ids_;
   std::vector<std::vector<DocRef>> entity_docs_;
-  BackendCapability cap_;
 
   /// Index into entity_ids_ or npos.
   size_t FindEntity(std::string_view id) const;

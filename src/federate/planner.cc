@@ -51,7 +51,7 @@ Estimate EstimateNode(const QueryNode& node, const BackendSet& backends) {
     const FederateBackend* backend = backends.ForKind(node.pred.kind);
     Estimate e;
     e.selectivity = backend->EstimateSelectivity(node.pred);
-    e.cost = backend->capability().cost_per_candidate;
+    e.cost = backend->cost_per_candidate();
     return e;
   }
   Estimate e;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <numeric>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "common/strings.h"
@@ -74,11 +75,100 @@ Result<Response> DecodeAnswer(
   return decode(body, body_len);
 }
 
+// What the every-replica exchange sends and what it holds replicas to,
+// one struct per exchange: the request's encoder, the answer's frame
+// type and decoder, the answer fields every replica must agree on with
+// the status a disagreement earns, and how an answer reads in that
+// error. Never the node id (replicas may address the node under
+// different ids) and never the handshake's work total (each replica
+// served different queries).
+
+struct StatsExchange {
+  using Request = StatsRequest;
+  using Response = StatsResponse;
+  static constexpr const char* kName = "stats handshake";
+  static constexpr MessageType kAnswer = MessageType::kStatsResponse;
+  // Replicas that start out different are a deployment error.
+  static constexpr StatusCode kDisagreement = StatusCode::kInvalidArgument;
+  static constexpr auto Encode = &EncodeStatsRequest;
+  static constexpr auto Decode = &DecodeStatsResponse;
+  static auto Agreed(const Response& a) {
+    return std::tie(a.document_count, a.collection_length, a.mutation_epoch,
+                    a.stem, a.stop);
+  }
+  static std::string Describe(const Response& a) {
+    return StrFormat("docs=%llu len=%lld epoch=%llu stem=%d stop=%d",
+                     static_cast<unsigned long long>(a.document_count),
+                     static_cast<long long>(a.collection_length),
+                     static_cast<unsigned long long>(a.mutation_epoch),
+                     a.stem ? 1 : 0, a.stop ? 1 : 0);
+  }
+};
+
+struct InsertExchange {
+  using Request = InsertRequest;
+  using Response = InsertResponse;
+  static constexpr const char* kName = "insert";
+  static constexpr MessageType kAnswer = MessageType::kInsertResponse;
+  static constexpr StatusCode kDisagreement = StatusCode::kInternal;
+  static constexpr auto Encode = &EncodeInsertRequest;
+  static constexpr auto Decode = &DecodeInsertResponse;
+  static auto Agreed(const Response& a) {
+    return std::tie(a.doc_id, a.epoch, a.delta);
+  }
+  static std::string Describe(const Response& a) {
+    return StrFormat("id=%llu epoch=%llu length=%lld stems=%zu",
+                     static_cast<unsigned long long>(a.doc_id),
+                     static_cast<unsigned long long>(a.epoch),
+                     static_cast<long long>(a.delta.length),
+                     a.delta.stems.size());
+  }
+};
+
+struct DeleteExchange {
+  using Request = DeleteRequest;
+  using Response = DeleteResponse;
+  static constexpr const char* kName = "delete";
+  static constexpr MessageType kAnswer = MessageType::kDeleteResponse;
+  static constexpr StatusCode kDisagreement = StatusCode::kInternal;
+  static constexpr auto Encode = &EncodeDeleteRequest;
+  static constexpr auto Decode = &DecodeDeleteResponse;
+  static auto Agreed(const Response& a) {
+    return std::tie(a.found, a.epoch, a.delta);
+  }
+  static std::string Describe(const Response& a) {
+    return StrFormat("found=%d epoch=%llu length=%lld stems=%zu",
+                     a.found ? 1 : 0,
+                     static_cast<unsigned long long>(a.epoch),
+                     static_cast<long long>(a.delta.length),
+                     a.delta.stems.size());
+  }
+};
+
+struct MergeExchange {
+  using Request = MergeRequest;
+  using Response = MergeResponse;
+  static constexpr const char* kName = "merge";
+  static constexpr MessageType kAnswer = MessageType::kMergeResponse;
+  static constexpr StatusCode kDisagreement = StatusCode::kInternal;
+  static constexpr auto Encode = &EncodeMergeRequest;
+  static constexpr auto Decode = &DecodeMergeResponse;
+  static auto Agreed(const Response& a) { return std::tie(a.epoch); }
+  static std::string Describe(const Response& a) {
+    return StrFormat("epoch=%llu", static_cast<unsigned long long>(a.epoch));
+  }
+};
+
+/// Writes are sent to each replica once: inserts and deletes are not
+/// idempotent, so a retry of a write the node already applied would
+/// answer for the retry, not for the write.
+constexpr int kWriteAttempts = 1;
+
 }  // namespace
 
-/// Completion channel between a caller and its async attempts. Heap-
-/// allocated and shared: a hedge loser finishing after the caller
-/// returned writes into this, not into the caller's stack.
+/// Completion channel between a caller and its attempts, inline or
+/// async. Heap-allocated and shared: a hedge loser finishing after the
+/// caller returned writes into this, not into the caller's stack.
 struct RemoteClusterIndex::HedgedCall {
   std::mutex mu;
   std::condition_variable cv;
@@ -221,6 +311,23 @@ void RemoteClusterIndex::RecordExchangeLatency(size_t shard,
   state.window_count = std::min(state.window_count + 1, state.window_us.size());
 }
 
+void RemoteClusterIndex::RunAttempt(size_t shard, size_t replica,
+                                    const std::vector<uint8_t>& frame,
+                                    bool is_hedge, HedgedCall* state) const {
+  Timer timer;
+  Attempt attempt = ClassifyResponse(
+      shards_[shard].replicas[replica].transport->Call(
+          frame, Deadline::After(options_.timeout_ms)));
+  RecordCallOutcome(shard, replica, attempt.frame.ok(),
+                    timer.ElapsedMillis() * 1e3);
+  {
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->done.push_back({std::move(attempt.frame), attempt.bytes, replica,
+                           is_hedge});
+  }
+  state->cv.notify_all();
+}
+
 void RemoteClusterIndex::StartAsyncAttempt(
     size_t shard, size_t replica,
     std::shared_ptr<const std::vector<uint8_t>> frame, bool is_hedge,
@@ -229,21 +336,9 @@ void RemoteClusterIndex::StartAsyncAttempt(
     std::lock_guard<std::mutex> lock(inflight_mu_);
     ++inflight_;
   }
-  Transport* transport = shards_[shard].replicas[replica].transport;
-  const int timeout_ms = options_.timeout_ms;
-  std::thread([this, shard, replica, transport, timeout_ms,
-               frame = std::move(frame), is_hedge, state = std::move(state)] {
-    Timer timer;
-    Attempt attempt = ClassifyResponse(
-        transport->Call(*frame, Deadline::After(timeout_ms)));
-    RecordCallOutcome(shard, replica, attempt.frame.ok(),
-                      timer.ElapsedMillis() * 1e3);
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->done.push_back({std::move(attempt.frame), attempt.bytes, replica,
-                             is_hedge});
-    }
-    state->cv.notify_all();
+  std::thread([this, shard, replica, frame = std::move(frame), is_hedge,
+               state = std::move(state)] {
+    RunAttempt(shard, replica, *frame, is_hedge, state.get());
     {
       // Notify under the lock: the destructor destroys this cv the
       // moment its wait observes inflight_ == 0, and it can only
@@ -274,40 +369,13 @@ Result<std::vector<uint8_t>> RemoteClusterIndex::HedgedExchange(
   size_t next = 0;
   const int64_t budget_us = HedgeBudgetUs(shard);
 
-  if (budget_us < 0) {
-    // Hedging not armed: walk the sequence synchronously — no spawned
-    // threads, identical cost profile to the pre-replica code.
-    while (next < seq.size()) {
-      const size_t replica = seq[next++];
-      t->messages += 1;
-      t->bytes_shipped += frames[replica]->size();
-      Timer call_timer;
-      Attempt attempt = ClassifyResponse(
-          shards_[shard].replicas[replica].transport->Call(
-              *frames[replica], Deadline::After(options_.timeout_ms)));
-      if (attempt.bytes > 0) {
-        t->messages += 1;
-        t->bytes_shipped += attempt.bytes;
-      }
-      RecordCallOutcome(shard, replica, attempt.frame.ok(),
-                        call_timer.ElapsedMillis() * 1e3);
-      if (attempt.frame.ok()) {
-        RecordExchangeLatency(shard, exchange_timer.ElapsedMillis() * 1e3);
-        return std::move(attempt.frame);
-      }
-      last = attempt.frame.status();
-      if (next < seq.size() && seq[next] != replica) {
-        t->failovers += 1;
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    return last;
-  }
-
-  // Hedged path: attempts run on registered async threads so the
-  // caller can fire the next replica while the first is still in
-  // flight. At most two attempts outstanding; first well-formed answer
-  // wins; losers land in `state` (heap-shared) and only update health.
+  // Armed, attempts run on registered async threads so the caller can
+  // fire the next replica while the first is still in flight. Unarmed
+  // (one replica, hedging off, or the window not primed), each attempt
+  // runs to completion on the caller's thread inside launch(): no
+  // thread starts and the loop below never waits. At most two attempts
+  // outstanding; first well-formed answer wins; losers land in `state`
+  // (heap-shared) and only update health.
   auto state = std::make_shared<HedgedCall>();
   size_t outstanding = 0;
   auto launch = [&](bool is_hedge) {
@@ -315,7 +383,11 @@ Result<std::vector<uint8_t>> RemoteClusterIndex::HedgedExchange(
     t->messages += 1;
     t->bytes_shipped += frames[replica]->size();
     ++outstanding;
-    StartAsyncAttempt(shard, replica, frames[replica], is_hedge, state);
+    if (budget_us < 0) {
+      RunAttempt(shard, replica, *frames[replica], is_hedge, state.get());
+    } else {
+      StartAsyncAttempt(shard, replica, frames[replica], is_hedge, state);
+    }
   };
   launch(/*is_hedge=*/false);
 
@@ -371,6 +443,44 @@ Result<std::vector<uint8_t>> RemoteClusterIndex::HedgedExchange(
   }
 }
 
+template <typename Exchange>
+Result<typename Exchange::Response> RemoteClusterIndex::EveryReplicaExchange(
+    size_t shard, typename Exchange::Request request, int attempts) const {
+  const std::vector<Shard>& replicas = shards_[shard].replicas;
+  typename Exchange::Response first;
+  for (size_t r = 0; r < replicas.size(); ++r) {
+    request.node_id = replicas[r].node_id;
+    // Stats and merge requests always encode; inserts and deletes
+    // may not fit a frame.
+    const Result<std::vector<uint8_t>> frame = Exchange::Encode(request);
+    DLS_RETURN_IF_ERROR(frame.status());
+    Result<std::vector<uint8_t>> answer =
+        Status::Unavailable("no attempts made");
+    for (int attempt = 0; attempt < attempts && !answer.ok(); ++attempt) {
+      answer = ClassifyResponse(
+                   replicas[r].transport->Call(
+                       frame.value(), Deadline::After(options_.timeout_ms)))
+                   .frame;
+    }
+    DLS_RETURN_IF_ERROR(answer.status());
+    DLS_ASSIGN_OR_RETURN(typename Exchange::Response response,
+                         DecodeAnswer(answer.value(), Exchange::kAnswer,
+                                      Exchange::kName, Exchange::Decode));
+    if (r == 0) {
+      first = std::move(response);
+    } else if (Exchange::Agreed(response) != Exchange::Agreed(first)) {
+      return Status(
+          Exchange::kDisagreement,
+          StrFormat("shard %zu replica %zu disagrees with replica 0 on %s "
+                    "(%s vs %s); replicas must serve identical node content",
+                    shard, r, Exchange::kName,
+                    Exchange::Describe(response).c_str(),
+                    Exchange::Describe(first).c_str()));
+    }
+  }
+  return first;
+}
+
 Status RemoteClusterIndex::Connect() {
   // Phase 1, unlocked: run the handshake against every replica and
   // build the new aggregates locally — network I/O must not stall
@@ -383,66 +493,36 @@ Status RemoteClusterIndex::Connect() {
   bool new_stem = true;
   bool new_stop = true;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    const std::vector<Shard>& replicas = shards_[i].replicas;
-    StatsResponse adopted;
-    for (size_t r = 0; r < replicas.size(); ++r) {
-      // Per replica, no failover: Connect() is the deployment check
-      // and every replica must answer for itself.
-      StatsRequest request;
-      request.node_id = replicas[r].node_id;
-      DLS_ASSIGN_OR_RETURN(
-          const std::vector<uint8_t> answer,
-          CallReplica(replicas[r], EncodeStatsRequest(request)));
-      DLS_ASSIGN_OR_RETURN(
-          StatsResponse stats,
-          DecodeAnswer(answer, MessageType::kStatsResponse, "stats handshake",
-                       &DecodeStatsResponse));
-      // Adopt the first shard's normalisation pipeline and hold every
-      // other shard (and replica) to it: resolving queries through a
-      // different stem/stop configuration than the shards indexed with
-      // would silently break the remote/in-process bit-identity (and
-      // recall).
-      if (i == 0 && r == 0) {
-        new_stem = stats.stem;
-        new_stop = stats.stop;
-      } else if (stats.stem != new_stem || stats.stop != new_stop) {
-        return Status::InvalidArgument(StrFormat(
-            "shard %zu replica %zu normalisation (stem=%d stop=%d) disagrees "
-            "with shard 0 (stem=%d stop=%d); all shards must index with one "
-            "pipeline",
-            i, r, stats.stem ? 1 : 0, stats.stop ? 1 : 0, new_stem ? 1 : 0,
-            new_stop ? 1 : 0));
-      }
-      if (r == 0) {
-        adopted = std::move(stats);
-        continue;
-      }
-      // Replicas of one shard must serve the same frozen node — that
-      // identity is what makes failover/hedging exactness-safe, so the
-      // cheap invariants are checked up front rather than trusted.
-      if (stats.document_count != adopted.document_count ||
-          stats.collection_length != adopted.collection_length ||
-          stats.mutation_epoch != adopted.mutation_epoch) {
-        return Status::InvalidArgument(StrFormat(
-            "shard %zu replica %zu (docs=%llu len=%lld epoch=%llu) disagrees "
-            "with replica 0 (docs=%llu len=%lld epoch=%llu); replicas must "
-            "serve identical node content",
-            i, r, static_cast<unsigned long long>(stats.document_count),
-            static_cast<long long>(stats.collection_length),
-            static_cast<unsigned long long>(stats.mutation_epoch),
-            static_cast<unsigned long long>(adopted.document_count),
-            static_cast<long long>(adopted.collection_length),
-            static_cast<unsigned long long>(adopted.mutation_epoch)));
-      }
+    // Every replica answers for itself, no failover: Connect() is the
+    // deployment check. Replicas of one shard must serve the same
+    // frozen node — that identity is what makes failover/hedging
+    // exactness-safe, so the cheap invariants are checked up front
+    // rather than trusted.
+    DLS_ASSIGN_OR_RETURN(
+        const StatsResponse stats,
+        EveryReplicaExchange<StatsExchange>(i, {}, 1 + options_.retries));
+    // Adopt the first shard's normalisation pipeline and hold every
+    // other shard to it: resolving queries through a different
+    // stem/stop configuration than the shards indexed with would
+    // silently break the remote/in-process bit-identity (and recall).
+    if (i == 0) {
+      new_stem = stats.stem;
+      new_stop = stats.stop;
+    } else if (stats.stem != new_stem || stats.stop != new_stop) {
+      return Status::InvalidArgument(StrFormat(
+          "shard %zu normalisation (stem=%d stop=%d) disagrees with shard 0 "
+          "(stem=%d stop=%d); all shards must index with one pipeline",
+          i, stats.stem ? 1 : 0, stats.stop ? 1 : 0, new_stem ? 1 : 0,
+          new_stop ? 1 : 0));
     }
     // Same aggregation as ClusterIndex::Finalize(): integer sums over
     // one replica per shard, so the resulting global df relation is
     // identical to the in-process one whatever the shard order.
-    new_collection_length += adopted.collection_length;
-    new_shard_docs[i] = adopted.document_count;
-    new_total_docs += adopted.document_count;
-    new_shard_epochs[i] = adopted.mutation_epoch;
-    for (const auto& [term, df] : adopted.term_dfs) {
+    new_collection_length += stats.collection_length;
+    new_shard_docs[i] = stats.document_count;
+    new_total_docs += stats.document_count;
+    new_shard_epochs[i] = stats.mutation_epoch;
+    for (const auto& [term, df] : stats.term_dfs) {
       new_global_df[term] += df;
     }
   }
@@ -472,19 +552,6 @@ size_t RemoteClusterIndex::ShardForUrl(std::string_view url) const {
   return static_cast<size_t>(h % shards_.size());
 }
 
-Result<std::vector<uint8_t>> RemoteClusterIndex::CallReplica(
-    const Shard& replica, const std::vector<uint8_t>& frame) const {
-  Result<std::vector<uint8_t>> response =
-      Status::Unavailable("no attempts made");
-  for (int attempt = 0; attempt <= options_.retries; ++attempt) {
-    Attempt a = ClassifyResponse(
-        replica.transport->Call(frame, Deadline::After(options_.timeout_ms)));
-    response = std::move(a.frame);
-    if (response.ok()) break;
-  }
-  return response;
-}
-
 void RemoteClusterIndex::ApplyStatsDelta(size_t shard, int sign,
                                          const ingest::StatsDelta& delta,
                                          uint64_t epoch) {
@@ -510,108 +577,30 @@ void RemoteClusterIndex::ApplyStatsDelta(size_t shard, int sign,
 Result<uint64_t> RemoteClusterIndex::Insert(std::string_view url,
                                             std::string_view text) {
   const size_t shard = ShardForUrl(url);
-  InsertResponse first;
-  const std::vector<Shard>& replicas = shards_[shard].replicas;
-  for (size_t r = 0; r < replicas.size(); ++r) {
-    InsertRequest request;
-    request.node_id = replicas[r].node_id;
-    request.url = std::string(url);
-    request.text = std::string(text);
-    DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> frame,
-                         EncodeInsertRequest(request));
-    DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> answer,
-                         CallReplica(replicas[r], frame));
-    DLS_ASSIGN_OR_RETURN(
-        InsertResponse response,
-        DecodeAnswer(answer, MessageType::kInsertResponse, "insert",
-                             &DecodeInsertResponse));
-    if (r == 0) {
-      first = std::move(response);
-    } else if (response.doc_id != first.doc_id ||
-               response.epoch != first.epoch ||
-               response.delta != first.delta) {
-      return Status::Internal(StrFormat(
-          "shard %zu replica %zu diverged on insert (id=%llu epoch=%llu "
-          "length=%lld stems=%zu vs id=%llu epoch=%llu length=%lld "
-          "stems=%zu); replicas no longer serve identical content",
-          shard, r, static_cast<unsigned long long>(response.doc_id),
-          static_cast<unsigned long long>(response.epoch),
-          static_cast<long long>(response.delta.length),
-          response.delta.stems.size(),
-          static_cast<unsigned long long>(first.doc_id),
-          static_cast<unsigned long long>(first.epoch),
-          static_cast<long long>(first.delta.length),
-          first.delta.stems.size()));
-    }
-  }
-  ApplyStatsDelta(shard, +1, first.delta, first.epoch);
-  return first.doc_id;
+  DLS_ASSIGN_OR_RETURN(
+      const InsertResponse ack,
+      EveryReplicaExchange<InsertExchange>(
+          shard, {0, std::string(url), std::string(text)}, kWriteAttempts));
+  ApplyStatsDelta(shard, +1, ack.delta, ack.epoch);
+  return ack.doc_id;
 }
 
 Result<bool> RemoteClusterIndex::Delete(std::string_view url) {
   const size_t shard = ShardForUrl(url);
-  DeleteResponse first;
-  const std::vector<Shard>& replicas = shards_[shard].replicas;
-  for (size_t r = 0; r < replicas.size(); ++r) {
-    DeleteRequest request;
-    request.node_id = replicas[r].node_id;
-    request.url = std::string(url);
-    DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> frame,
-                         EncodeDeleteRequest(request));
-    DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> answer,
-                         CallReplica(replicas[r], frame));
-    DLS_ASSIGN_OR_RETURN(
-        DeleteResponse response,
-        DecodeAnswer(answer, MessageType::kDeleteResponse, "delete",
-                             &DecodeDeleteResponse));
-    if (r == 0) {
-      first = std::move(response);
-    } else if (response.found != first.found ||
-               response.epoch != first.epoch ||
-               response.delta != first.delta) {
-      return Status::Internal(StrFormat(
-          "shard %zu replica %zu diverged on delete (found=%d epoch=%llu "
-          "length=%lld stems=%zu vs found=%d epoch=%llu length=%lld "
-          "stems=%zu); replicas no longer serve identical content",
-          shard, r, response.found ? 1 : 0,
-          static_cast<unsigned long long>(response.epoch),
-          static_cast<long long>(response.delta.length),
-          response.delta.stems.size(), first.found ? 1 : 0,
-          static_cast<unsigned long long>(first.epoch),
-          static_cast<long long>(first.delta.length),
-          first.delta.stems.size()));
-    }
-  }
-  if (first.found) ApplyStatsDelta(shard, -1, first.delta, first.epoch);
-  return first.found;
+  DLS_ASSIGN_OR_RETURN(const DeleteResponse ack,
+                       EveryReplicaExchange<DeleteExchange>(
+                           shard, {0, std::string(url)}, kWriteAttempts));
+  if (ack.found) ApplyStatsDelta(shard, -1, ack.delta, ack.epoch);
+  return ack.found;
 }
 
 Status RemoteClusterIndex::MergeAll() {
   for (size_t i = 0; i < shards_.size(); ++i) {
-    const std::vector<Shard>& replicas = shards_[i].replicas;
-    uint64_t epoch = 0;
-    for (size_t r = 0; r < replicas.size(); ++r) {
-      MergeRequest request;
-      request.node_id = replicas[r].node_id;
-      const std::vector<uint8_t> frame = EncodeMergeRequest(request);
-      DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> answer,
-                           CallReplica(replicas[r], frame));
-      DLS_ASSIGN_OR_RETURN(
-          const MergeResponse response,
-          DecodeAnswer(answer, MessageType::kMergeResponse, "merge",
-                               &DecodeMergeResponse));
-      if (r == 0) {
-        epoch = response.epoch;
-      } else if (response.epoch != epoch) {
-        return Status::Internal(StrFormat(
-            "shard %zu replica %zu diverged on merge (epoch=%llu vs %llu); "
-            "replicas no longer serve identical content",
-            i, r, static_cast<unsigned long long>(response.epoch),
-            static_cast<unsigned long long>(epoch)));
-      }
-    }
+    DLS_ASSIGN_OR_RETURN(
+        const MergeResponse ack,
+        EveryReplicaExchange<MergeExchange>(i, {}, kWriteAttempts));
     std::unique_lock<std::shared_mutex> lock(stats_mu_);
-    shard_epochs_[i] = std::max(shard_epochs_[i], epoch);
+    shard_epochs_[i] = std::max(shard_epochs_[i], ack.epoch);
   }
   return Status::Ok();
 }
@@ -650,13 +639,10 @@ bool RemoteClusterIndex::CallShard(size_t shard,
   }
   Result<std::vector<uint8_t>> frame = HedgedExchange(shard, frames, exchange);
   if (!frame.ok()) return false;  // shard lost
-  MessageType type;
-  const uint8_t* body = nullptr;
-  size_t body_len = 0;
-  if (!DecodeFrame(frame.value(), &type, &body, &body_len).ok()) return false;
-  if (type != MessageType::kQueryResponse) return false;  // junk frame type
-  Result<QueryResponse> response = DecodeQueryResponse(body, body_len);
-  if (!response.ok()) return false;
+  Result<QueryResponse> response =
+      DecodeAnswer(frame.value(), MessageType::kQueryResponse, "query",
+                   &DecodeQueryResponse);
+  if (!response.ok()) return false;  // junk frame type or body
   // A response that doesn't answer the batch is as lost as no
   // response: partial merges would silently drop documents.
   if (response.value().results.size() != queries.size()) return false;

@@ -212,15 +212,16 @@ class RemoteClusterIndex {
   // epochs, assigned ids and statistics deltas to agreement (a mismatch
   // is kInternal): replicas stay bit-identical copies, which is what
   // keeps failover and hedging exactness-safe. Mutations are never
-  // hedged or failed over (they are not idempotent; a replica that
-  // cannot be reached leaves the set diverged, the call reports it and
-  // the centre's statistics stay as they were). Once every replica has
-  // acknowledged, the centre applies the mutation's exact statistics
-  // delta (ingest::StatsDelta) to the global df table, collection
-  // length, document counts and the shard's epoch — all before the call
-  // returns, so the very next Query()/QueryBatch() resolves against
-  // statistics bit-identical to a fresh Connect() handshake, and a
-  // quiesced query to a from-scratch rebuild.
+  // hedged, failed over or retried: they are not idempotent, so each
+  // replica gets each mutation once. A replica that cannot be reached,
+  // or whose acknowledgement is lost, fails the call and may leave the
+  // set diverged; the centre's statistics stay as they were. Once
+  // every replica has acknowledged, the centre applies the mutation's
+  // exact statistics delta (ingest::StatsDelta) to the global df
+  // table, collection length, document counts and the shard's epoch —
+  // all before the call returns, so the very next Query()/QueryBatch()
+  // resolves against statistics bit-identical to a fresh Connect()
+  // handshake, and a quiesced query to a from-scratch rebuild.
 
   /// The shard owning `url` under the mutation routing hash.
   size_t ShardForUrl(std::string_view url) const;
@@ -286,15 +287,19 @@ class RemoteClusterIndex {
     size_t window_next = 0;
   };
 
-  /// Completion channel between a caller and its async attempts.
+  /// Completion channel between a caller and its attempts.
   struct HedgedCall;
 
-  /// One non-hedged, non-failover exchange with a specific replica,
-  /// retried on that replica Options::retries times: the stats
-  /// handshake and the mutations must hit every replica, not any one
-  /// of them.
-  Result<std::vector<uint8_t>> CallReplica(
-      const Shard& replica, const std::vector<uint8_t>& frame) const;
+  /// The stats handshake's and the mutations' exchange, which must hit
+  /// every replica of `shard`, not any one of them: sends `request`
+  /// (its node id filled in per replica) to each replica in order, up
+  /// to `attempts` times each — never hedged, never failed over —
+  /// decodes each answer as `Exchange` expects, and holds every other
+  /// replica's answer to replica 0's (a disagreement returns
+  /// Exchange::kDisagreement). Returns replica 0's answer.
+  template <typename Exchange>
+  Result<typename Exchange::Response> EveryReplicaExchange(
+      size_t shard, typename Exchange::Request request, int attempts) const;
 
   /// Applies an acknowledged insert (`sign` +1) or delete (-1) on
   /// `shard`: each stem's global df moves by `sign` (a stem reaching 0
@@ -314,7 +319,8 @@ class RemoteClusterIndex {
   void RecordExchangeLatency(size_t shard, double elapsed_us) const;
 
   /// One shard exchange over the replica walk: failover on failed
-  /// attempts, hedging past the budget. `frames` holds one request
+  /// attempts, hedging past the budget (armed, attempts run on their
+  /// own threads; unarmed, on the caller's). `frames` holds one request
   /// frame per replica (replicas may address different node ids).
   /// Returns the winning well-formed non-Error frame, and adds the
   /// exchange's wire and routing counters to `exchange`.
@@ -323,7 +329,12 @@ class RemoteClusterIndex {
       const std::vector<std::shared_ptr<const std::vector<uint8_t>>>& frames,
       ir::ClusterQueryStats* exchange) const;
 
-  /// Launches one attempt on a detached (but inflight-counted) thread.
+  /// Runs one attempt on the calling thread: calls the replica,
+  /// records its health and lands the outcome in `state`.
+  void RunAttempt(size_t shard, size_t replica,
+                  const std::vector<uint8_t>& frame, bool is_hedge,
+                  HedgedCall* state) const;
+  /// Runs RunAttempt on a detached (but inflight-counted) thread.
   void StartAsyncAttempt(size_t shard, size_t replica,
                          std::shared_ptr<const std::vector<uint8_t>> frame,
                          bool is_hedge, std::shared_ptr<HedgedCall> state) const;

@@ -365,13 +365,12 @@ TEST_F(MediatorTest, StaleTextSnapshotRefusedAfterClusterMutation) {
   // Direct backend entry points refuse the same way.
   const FederatedQuery q = ParseFederatedQuery("text(\"net\")").value();
   EXPECT_FALSE(text_->EvalFilter(q.root.pred).ok());
-  EXPECT_FALSE(text_->Rank({"net"}, 10, 2, {}, nullptr, nullptr).ok());
 
   // A backend rebuilt against the mutated cluster serves again.
   cluster_->Finalize();
   TextBackend rebuilt(cluster_.get());
   EXPECT_TRUE(rebuilt.CheckFrozen().ok());
-  EXPECT_TRUE(rebuilt.Rank({"net"}, 10, 2, {}, nullptr, nullptr).ok());
+  EXPECT_TRUE(rebuilt.EvalFilter(q.root.pred).ok());
 }
 
 TEST_F(MediatorTest, DisjunctionOfAllThreeLevels) {

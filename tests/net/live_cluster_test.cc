@@ -644,5 +644,59 @@ TEST(LiveClusterTest, ReplicasReportingDifferentDeltasAreInternal) {
   EXPECT_EQ(remote.global_df("term001"), 0);
 }
 
+TEST(LiveClusterTest, ReplicasMergedApartAreInternal) {
+  LiveLoopbackCluster fx(/*num_shards=*/1, /*num_replicas=*/2);
+  ASSERT_TRUE(fx.remote->Connect().ok());
+  ASSERT_TRUE(fx.remote->Insert("u0", "term001 term002").ok());
+  // A merge behind the centre's back moves one replica's epoch.
+  fx.lives[1]->Merge();
+  const uint64_t epoch = fx.remote->cluster_epoch();
+  Status merged = fx.remote->MergeAll();
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.code(), StatusCode::kInternal);
+  EXPECT_EQ(fx.remote->cluster_epoch(), epoch);
+}
+
+// A lost acknowledgement: the node applies the write and the centre
+// receives half a frame. A write goes to each replica once, so the
+// node sees it once and the call fails with the decoder's error rather
+// than answering for a retry of a write the node already applied.
+
+TEST(LiveClusterTest, LostAckInsertIsSentOnce) {
+  LiveLoopbackCluster fx(/*num_shards=*/1, /*num_replicas=*/1);
+  ASSERT_TRUE(fx.remote->Connect().ok());
+  const int dispatched = fx.transports[0]->dispatched_calls();
+  fx.transports[0]->TruncateCalls(1);
+  Result<uint64_t> id = fx.remote->Insert("u0", "alpha beta");
+  EXPECT_EQ(fx.transports[0]->dispatched_calls(), dispatched + 1);
+  EXPECT_NE(id.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(fx.live(0, 0).Pin()->live_docs(), 1u);
+}
+
+TEST(LiveClusterTest, LostAckDeleteIsSentOnce) {
+  LiveLoopbackCluster fx(/*num_shards=*/1, /*num_replicas=*/1);
+  ASSERT_TRUE(fx.remote->Connect().ok());
+  ASSERT_TRUE(fx.remote->Insert("u0", "alpha beta").ok());
+  const int dispatched = fx.transports[0]->dispatched_calls();
+  fx.transports[0]->TruncateCalls(1);
+  Result<bool> found = fx.remote->Delete("u0");
+  EXPECT_EQ(fx.transports[0]->dispatched_calls(), dispatched + 1);
+  EXPECT_FALSE(found.ok() && !found.value())
+      << "the node deleted u0, but the centre reports no live document";
+  EXPECT_EQ(fx.live(0, 0).Pin()->live_docs(), 0u);
+}
+
+TEST(LiveClusterTest, LostAckMergeIsSentOnce) {
+  LiveLoopbackCluster fx(/*num_shards=*/1, /*num_replicas=*/1);
+  ASSERT_TRUE(fx.remote->Connect().ok());
+  ASSERT_TRUE(fx.remote->Insert("u0", "alpha beta").ok());
+  const int dispatched = fx.transports[0]->dispatched_calls();
+  const uint64_t merges = fx.live(0, 0).merges();
+  fx.transports[0]->TruncateCalls(1);
+  fx.remote->MergeAll();
+  EXPECT_EQ(fx.transports[0]->dispatched_calls(), dispatched + 1);
+  EXPECT_EQ(fx.live(0, 0).merges(), merges + 1);
+}
+
 }  // namespace
 }  // namespace dls::net

@@ -209,17 +209,17 @@ TEST(LiveClusterTest, LiveHandshakeReportsServedWork) {
   ingest::LiveIndexOptions options;
   options.delta_seal_docs = 8;
   ingest::LiveIndex live(options);
-  for (size_t i = 0; i < 120; ++i) {
+  for (size_t i = 0; i < 1000; ++i) {
     ASSERT_TRUE(
         live.Insert(StrFormat("doc-%03zu", i), Body(&rng, &zipf, 16)).ok());
   }
   live.Merge();
-  for (size_t i = 120; i < 140; ++i) {
+  for (size_t i = 1000; i < 1020; ++i) {
     ASSERT_TRUE(
         live.Insert(StrFormat("doc-%03zu", i), Body(&rng, &zipf, 16)).ok());
   }
   ASSERT_TRUE(live.Delete("doc-005"));
-  ASSERT_TRUE(live.Delete("doc-130"));
+  ASSERT_TRUE(live.Delete("doc-1010"));
 
   ShardServer server;
   const uint32_t node = server.AddLiveNode(&live);
@@ -240,6 +240,12 @@ TEST(LiveClusterTest, LiveHandshakeReportsServedWork) {
     for (const auto& words : queries) {
       ir::RankOptions query_options;
       query_options.prune = prune;
+      if (prune) {
+        // Pruned block-max WAND over packed postings: the plan that
+        // moves every counter the handshake reports.
+        query_options.strategy = ir::RankStrategy::kWand;
+        query_options.kernel = ir::ScoreKernel::kPacked;
+      }
       const ir::ShardResult r = QueryNode(
           &transport, node,
           Resolve(words, df, before.collection_length, 5, kFragments,
@@ -252,6 +258,10 @@ TEST(LiveClusterTest, LiveHandshakeReportsServedWork) {
     }
   }
   ASSERT_GT(postings, 0u);
+  ASSERT_GT(skipped, 0u);
+  ASSERT_GT(decoded, 0u);
+  ASSERT_GT(pivots, 0u);
+  ASSERT_GT(advances, 0u);
   const StatsResponse after = StatsOf(&transport, node);
   EXPECT_EQ(postings, after.work.postings_touched);
   EXPECT_EQ(skipped, after.work.blocks_skipped);

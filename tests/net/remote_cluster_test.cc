@@ -378,5 +378,26 @@ TEST(RemoteClusterTest, ConnectRejectsMixedNormalization) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(RemoteClusterTest, ConnectRejectsReplicasWithMixedNormalization) {
+  // One shard whose two replicas hold the same documents, but only one
+  // stems them.
+  ir::TextIndex::Options no_stem;
+  no_stem.stem = false;
+  ir::ClusterIndex stemmed(1, 2), unstemmed(1, 2, no_stem);
+  BuildCorpus(&stemmed, 20, 7);
+  BuildCorpus(&unstemmed, 20, 7);
+
+  ShardServer server;
+  server.AddNode(&stemmed.node_index(0), &stemmed.node_fragments(0));
+  server.AddNode(&unstemmed.node_index(0), &unstemmed.node_fragments(0));
+  LoopbackTransport t0(server.Handler()), t1(server.Handler());
+  RemoteClusterIndex::ReplicaSet set;
+  set.replicas = {{&t0, 0}, {&t1, 1}};
+  RemoteClusterIndex remote({set}, {});
+  Status status = remote.Connect();
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace dls::net

@@ -129,6 +129,22 @@ TEST(ReplicaTest, ConnectChecksEveryReplica) {
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
 }
 
+TEST(ReplicaTest, ConnectRetriesAFailedHandshake) {
+  // The handshake is idempotent, so unlike a write it retries: a
+  // replica whose first stats call fails still connects with one
+  // retry, and fails Connect without one.
+  RemoteClusterIndex::Options options;
+  options.retries = 1;
+  ReplicatedCluster fx(2, 2, 60, 2, options);
+  fx.transports[1][1]->FailCalls(1);
+  EXPECT_TRUE(fx.remote->Connect().ok());
+
+  options.retries = 0;
+  ReplicatedCluster no_retry(2, 2, 60, 2, options);
+  no_retry.transports[1][1]->FailCalls(1);
+  EXPECT_EQ(no_retry.remote->Connect().code(), StatusCode::kUnavailable);
+}
+
 TEST(ReplicaTest, ConnectRejectsInconsistentReplicas) {
   ir::ClusterIndex cluster(2, 2);
   BuildCorpus(&cluster, 61, 3);  // odd count: nodes hold 31 vs 30 docs
