@@ -20,9 +20,15 @@
 // the FrontendServer a third; one process keeps the example
 // self-contained while still exercising every wire hop.
 //
+// Every check sets the exit code (0 = all held), so ctest runs this
+// as an end-to-end test over real localhost TCP on ephemeral ports.
+//
 // Build & run:  ./build/examples/remote_search
+#include <stdlib.h>
+
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -42,6 +48,30 @@
 #include "serve/frontend_server.h"
 
 namespace {
+
+/// A fresh directory under the system temp dir, removed with
+/// everything in it when this goes out of scope.
+struct TempDir {
+  TempDir() {
+    path = (std::filesystem::temp_directory_path() / "remote_search_XXXXXX")
+               .string();
+    if (mkdtemp(path.data()) == nullptr) path.clear();
+  }
+  ~TempDir() {
+    std::error_code ignored;
+    if (!path.empty()) std::filesystem::remove_all(path, ignored);
+  }
+  std::string path;
+};
+
+bool SameRanking(const std::vector<dls::ir::ClusterScoredDoc>& a,
+                 const std::vector<dls::ir::ClusterScoredDoc>& b) {
+  bool same = a.size() == b.size();
+  for (size_t i = 0; same && i < a.size(); ++i) {
+    same = a[i].url == b[i].url && a[i].score == b[i].score;
+  }
+  return same;
+}
 
 /// One SearchRequest/SearchResponse exchange with a FrontendServer.
 dls::Result<dls::net::SearchResponse> SearchOverWire(
@@ -134,10 +164,15 @@ int main() {
   std::printf("top 5 over TCP (%zu messages, %zu bytes on the wire):\n",
               stats.messages, stats.bytes_shipped);
   for (size_t i = 0; i < over_wire.size(); ++i) {
-    const bool same = in_process[i].url == over_wire[i].url &&
+    const bool same = i < in_process.size() &&
+                      in_process[i].url == over_wire[i].url &&
                       in_process[i].score == over_wire[i].score;
     std::printf("  %zu. %-24s %.6f  %s\n", i + 1, over_wire[i].url.c_str(),
                 over_wire[i].score, same ? "== in-process" : "MISMATCH");
+  }
+  if (!SameRanking(over_wire, in_process)) {
+    std::fprintf(stderr, "over-TCP ranking differs from the in-process one\n");
+    return 1;
   }
 
   // ---- Cold restart from disk: flush every node to a segment file,
@@ -145,18 +180,22 @@ int main() {
   // holding heap-built indexes (the instant-start path a real shard
   // machine takes after a reboot), and prove the wire answers are
   // byte-for-byte the ones the live indexes gave.
-  const std::string segment_prefix = "/tmp/remote_search_example";
+  const TempDir segment_dir;
+  if (segment_dir.path.empty()) {
+    std::perror("mkdtemp");
+    return 1;
+  }
+  const std::string segment_prefix = segment_dir.path + "/node";
   if (Status s = cluster.FlushToDisk(segment_prefix); !s.ok()) {
     std::fprintf(stderr, "flush: %s\n", s.ToString().c_str());
     return 1;
   }
   net::ShardServer reloaded;
-  std::vector<std::string> segment_paths;
   for (size_t i = 0; i < 4; ++i) {
-    segment_paths.push_back(ir::ClusterIndex::SegmentPath(segment_prefix, i));
-    Result<uint32_t> node = reloaded.AddNodeFromSegment(segment_paths[i], 4);
+    const std::string path = ir::ClusterIndex::SegmentPath(segment_prefix, i);
+    Result<uint32_t> node = reloaded.AddNodeFromSegment(path, 4);
     if (!node.ok()) {
-      std::fprintf(stderr, "load %s: %s\n", segment_paths[i].c_str(),
+      std::fprintf(stderr, "load %s: %s\n", path.c_str(),
                    node.status().ToString().c_str());
       return 1;
     }
@@ -178,13 +217,8 @@ int main() {
       std::fprintf(stderr, "connect reloaded: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::vector<ir::ClusterScoredDoc> reloaded_top =
-        from_disk.Query(query, 5, 4);
-    bool identical = reloaded_top.size() == over_wire.size();
-    for (size_t i = 0; identical && i < reloaded_top.size(); ++i) {
-      identical = reloaded_top[i].url == over_wire[i].url &&
-                  reloaded_top[i].score == over_wire[i].score;
-    }
+    const bool identical =
+        SameRanking(from_disk.Query(query, 5, 4), over_wire);
     std::printf(
         "\ncold restart: 4 segments flushed, mmap-loaded, served over "
         "TCP — ranking %s\n",
@@ -192,7 +226,6 @@ int main() {
     if (!identical) return 1;
   }
   reloaded.Stop();
-  for (const std::string& path : segment_paths) std::remove(path.c_str());
 
   // ---- Stand the serving frontend in front of the remote cluster and
   // put it on the wire too. A deliberately tiny frontend — one worker,
@@ -225,16 +258,13 @@ int main() {
     std::fprintf(stderr, "frontend search failed\n");
     return 1;
   }
-  bool cached_same = second.value().results.size() == over_wire.size();
-  for (size_t i = 0; cached_same && i < over_wire.size(); ++i) {
-    cached_same = second.value().results[i].url == over_wire[i].url &&
-                  second.value().results[i].score == over_wire[i].score;
-  }
+  const bool cached_same = SameRanking(second.value().results, over_wire);
   std::printf("search #1: cache_hit=%s   search #2: cache_hit=%s (%s)\n",
               first.value().cache_hit ? "true" : "false",
               second.value().cache_hit ? "true" : "false",
               cached_same ? "bit-identical to the direct ranking"
                           : "MISMATCH");
+  if (!cached_same) return 1;
 
   // ---- Overload: six impatient clients, each on its own connection,
   // all with fresh (uncacheable) queries against the 1-worker/1-queue
@@ -274,28 +304,31 @@ int main() {
   auto stats_reply = frontend_dial.Call(
       net::EncodeServeStatsRequest(net::ServeStatsRequest{}),
       Deadline::After(5000));
-  if (stats_reply.ok()) {
-    net::MessageType type;
-    const uint8_t* body = nullptr;
-    size_t body_len = 0;
-    if (net::DecodeFrame(stats_reply.value(), &type, &body, &body_len).ok() &&
-        type == net::MessageType::kServeStatsResponse) {
-      auto serve_stats = net::DecodeServeStatsResponse(body, body_len);
-      if (serve_stats.ok()) {
-        std::printf(
-            "serve stats: %llu submitted, %llu completed, %llu cache hits, "
-            "%llu shed, p99 %llu us\n",
-            static_cast<unsigned long long>(serve_stats.value().submitted),
-            static_cast<unsigned long long>(serve_stats.value().completed),
-            static_cast<unsigned long long>(serve_stats.value().cache_hits),
-            static_cast<unsigned long long>(
-                serve_stats.value().shed_queue_full +
-                serve_stats.value().shed_deadline),
-            static_cast<unsigned long long>(
-                serve_stats.value().latency_p99_us));
-      }
-    }
+  net::MessageType type;
+  const uint8_t* body = nullptr;
+  size_t body_len = 0;
+  if (!stats_reply.ok() ||
+      !net::DecodeFrame(stats_reply.value(), &type, &body, &body_len).ok() ||
+      type != net::MessageType::kServeStatsResponse) {
+    std::fprintf(stderr, "no ServeStats frame came back\n");
+    return 1;
   }
+  Result<serve::ServeStats> serve_stats =
+      net::DecodeServeStatsResponse(body, body_len);
+  if (!serve_stats.ok()) {
+    std::fprintf(stderr, "serve stats: %s\n",
+                 serve_stats.status().ToString().c_str());
+    return 1;
+  }
+  std::printf(
+      "serve stats: %llu submitted, %llu completed, %llu cache hits, "
+      "%llu shed, p99 %llu us\n",
+      static_cast<unsigned long long>(serve_stats.value().submitted),
+      static_cast<unsigned long long>(serve_stats.value().completed),
+      static_cast<unsigned long long>(serve_stats.value().cache_hits),
+      static_cast<unsigned long long>(serve_stats.value().shed_queue_full +
+                                      serve_stats.value().shed_deadline),
+      static_cast<unsigned long long>(serve_stats.value().latency.p99));
   frontend_server.Stop();
   frontend.Stop();
 
@@ -366,11 +399,7 @@ int main() {
   ir::ClusterQueryStats replicated_stats;
   std::vector<ir::ClusterScoredDoc> survived =
       replicated.Query(query, 5, 4, &replicated_stats);
-  bool replica_same = survived.size() == over_wire.size();
-  for (size_t i = 0; replica_same && i < survived.size(); ++i) {
-    replica_same = survived[i].url == over_wire[i].url &&
-                   survived[i].score == over_wire[i].score;
-  }
+  const bool replica_same = SameRanking(survived, over_wire);
   std::printf("  replicated:   %zu results, predicted quality %.2f, "
               "%zu failover(s) — %s\n",
               survived.size(), replicated_stats.predicted_quality,
@@ -445,11 +474,7 @@ int main() {
   }
   std::vector<ir::ClusterScoredDoc> live_after =
       live_remote.Query(query, 5, 4);
-  bool live_same = live_after.size() == live_before.size();
-  for (size_t i = 0; live_same && i < live_after.size(); ++i) {
-    live_same = live_after[i].url == live_before[i].url &&
-                live_after[i].score == live_before[i].score;
-  }
+  const bool live_same = SameRanking(live_after, live_before);
   std::printf("after MergeAll: %zu results — %s\n", live_after.size(),
               live_same ? "ranking identical to before the merge"
                         : "MISMATCH");

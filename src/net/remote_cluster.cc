@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <limits>
 #include <numeric>
 #include <thread>
 #include <tuple>
@@ -517,13 +518,30 @@ Status RemoteClusterIndex::Connect() {
     }
     // Same aggregation as ClusterIndex::Finalize(): integer sums over
     // one replica per shard, so the resulting global df relation is
-    // identical to the in-process one whatever the shard order.
-    new_collection_length += stats.collection_length;
+    // identical to the in-process one whatever the shard order. A
+    // peer's statistics are as untrusted as its bytes: a negative
+    // length, or a sum the centre's counters cannot hold, is
+    // corruption, not a wrapped statistic.
+    if (stats.collection_length < 0 ||
+        __builtin_add_overflow(new_collection_length,
+                               stats.collection_length,
+                               &new_collection_length)) {
+      return Status::Corruption(StrFormat(
+          "shard %zu advertises collection length %lld, which the "
+          "cluster's cannot hold",
+          i, static_cast<long long>(stats.collection_length)));
+    }
     new_shard_docs[i] = stats.document_count;
     new_total_docs += stats.document_count;
     new_shard_epochs[i] = stats.mutation_epoch;
     for (const auto& [term, df] : stats.term_dfs) {
-      new_global_df[term] += df;
+      int32_t& global = new_global_df[term];
+      if (__builtin_add_overflow(global, df, &global)) {
+        return Status::Corruption(StrFormat(
+            "shard %zu advertises df %d for stem \"%s\", which overflows "
+            "its global df",
+            i, df, term.c_str()));
+      }
     }
   }
   // Phase 2: commit the new aggregates atomically with respect to the
@@ -552,16 +570,39 @@ size_t RemoteClusterIndex::ShardForUrl(std::string_view url) const {
   return static_cast<size_t>(h % shards_.size());
 }
 
-void RemoteClusterIndex::ApplyStatsDelta(size_t shard, int sign,
-                                         const ingest::StatsDelta& delta,
-                                         uint64_t epoch) {
+Status RemoteClusterIndex::ApplyStatsDelta(size_t shard, int sign,
+                                           const ingest::StatsDelta& delta,
+                                           uint64_t epoch) {
   std::unique_lock<std::shared_mutex> lock(stats_mu_);
+  // Checked before anything moves, so a refused ack changes nothing.
+  int64_t length = 0;
+  if (sign > 0 ? __builtin_add_overflow(collection_length_, delta.length,
+                                        &length)
+               : __builtin_sub_overflow(collection_length_, delta.length,
+                                        &length)) {
+    return Status::Corruption(StrFormat(
+        "shard %zu acknowledged a document of length %lld, which the "
+        "cluster's collection length cannot hold",
+        shard, static_cast<long long>(delta.length)));
+  }
+  if (sign > 0) {
+    for (const std::string& stem : delta.stems) {
+      const auto it = global_df_.find(stem);
+      if (it != global_df_.end() &&
+          it->second == std::numeric_limits<int32_t>::max()) {
+        return Status::Corruption(StrFormat(
+            "shard %zu acknowledged stem \"%s\", whose global df is "
+            "already at its limit",
+            shard, stem.c_str()));
+      }
+    }
+  }
   for (const std::string& stem : delta.stems) {
     auto it = global_df_.try_emplace(stem, 0).first;
     it->second += sign;
     if (it->second <= 0) global_df_.erase(it);
   }
-  collection_length_ += sign * delta.length;
+  collection_length_ = length;
   if (sign > 0) {
     ++shard_docs_[shard];
     ++total_docs_;
@@ -572,6 +613,7 @@ void RemoteClusterIndex::ApplyStatsDelta(size_t shard, int sign,
   // Never backwards: acks of concurrent mutations may arrive out of
   // order.
   shard_epochs_[shard] = std::max(shard_epochs_[shard], epoch);
+  return Status::Ok();
 }
 
 Result<uint64_t> RemoteClusterIndex::Insert(std::string_view url,
@@ -581,7 +623,7 @@ Result<uint64_t> RemoteClusterIndex::Insert(std::string_view url,
       const InsertResponse ack,
       EveryReplicaExchange<InsertExchange>(
           shard, {0, std::string(url), std::string(text)}, kWriteAttempts));
-  ApplyStatsDelta(shard, +1, ack.delta, ack.epoch);
+  DLS_RETURN_IF_ERROR(ApplyStatsDelta(shard, +1, ack.delta, ack.epoch));
   return ack.doc_id;
 }
 
@@ -590,7 +632,9 @@ Result<bool> RemoteClusterIndex::Delete(std::string_view url) {
   DLS_ASSIGN_OR_RETURN(const DeleteResponse ack,
                        EveryReplicaExchange<DeleteExchange>(
                            shard, {0, std::string(url)}, kWriteAttempts));
-  if (ack.found) ApplyStatsDelta(shard, -1, ack.delta, ack.epoch);
+  if (ack.found) {
+    DLS_RETURN_IF_ERROR(ApplyStatsDelta(shard, -1, ack.delta, ack.epoch));
+  }
   return ack.found;
 }
 

@@ -147,7 +147,10 @@ class RemoteClusterIndex {
   /// disagree among themselves — a mixed-pipeline cluster would
   /// silently resolve different stems than its nodes indexed. Fails if
   /// any replica is unreachable — a cluster that starts degraded is a
-  /// deployment error, unlike one that degrades under load.
+  /// deployment error, unlike one that degrades under load. A shard
+  /// advertising a negative collection length, or statistics whose
+  /// sums overflow, fails it with kCorruption naming the shard. A
+  /// failed handshake leaves the previous statistics in place.
   Status Connect();
 
   /// Uses `pool` (non-owning, may be nullptr for sequential) to fan
@@ -305,9 +308,11 @@ class RemoteClusterIndex {
   /// `shard`: each stem's global df moves by `sign` (a stem reaching 0
   /// leaves the table, as the handshake would omit it), and so do the
   /// collection length by the delta's length and the document counts
-  /// by one. The shard's epoch advances to `epoch`.
-  void ApplyStatsDelta(size_t shard, int sign,
-                       const ingest::StatsDelta& delta, uint64_t epoch);
+  /// by one. The shard's epoch advances to `epoch`. An ack whose
+  /// statistics the centre's cannot hold is kCorruption naming the
+  /// shard, and nothing is applied.
+  Status ApplyStatsDelta(size_t shard, int sign,
+                         const ingest::StatsDelta& delta, uint64_t epoch);
 
   /// Replica indices of `shard`, healthiest first.
   std::vector<size_t> HealthOrder(size_t shard) const;

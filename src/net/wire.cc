@@ -1,9 +1,12 @@
 #include "net/wire.h"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <type_traits>
 
 #include "common/strings.h"
-#include "ir/codec.h"
 
 namespace dls::net {
 namespace {
@@ -15,8 +18,8 @@ constexpr size_t kMaxErrorMessageBytes = 1024;
 /// Stable wire values for status codes. The C++ StatusCode enum may be
 /// reordered or extended; these values may not — they are what mixed-
 /// version peers agree on. A wire value this build doesn't know
-/// degrades to kInternal on decode (see DecodeError) instead of being
-/// misread as a neighbouring code.
+/// degrades to kInternal on decode (see BodyReader::StatusField)
+/// instead of being misread as a neighbouring code.
 uint32_t StatusCodeToWire(StatusCode code) {
   switch (code) {
     case StatusCode::kOk: return 0;
@@ -52,12 +55,24 @@ bool StatusCodeFromWire(uint32_t wire, StatusCode* code) {
   }
 }
 
+Status Truncated(const char* what) {
+  return Status::Corruption(std::string("wire: malformed ") + what);
+}
+
+/// Each body's field order, stated once. Layout<M>::Walk(io, m) visits
+/// m's fields in wire order through one of two walkers that share one
+/// vocabulary: FrameWriter writes each field of a const M, and
+/// BodyReader reads each one back into a default M and applies the
+/// walk's Check()s, so bytes no peer of this wire version writes are
+/// corruption. A message's Layout also names its frame type, and the
+/// message for decode errors.
+template <typename M>
+struct Layout;
+
 // ---- Encoding ------------------------------------------------------
 
-/// Builds one frame: reserves the length prefix, accumulates the
-/// payload, and Finish() patches the prefix. Varint32 is the posting
-/// codec's LEB128 writer (ir/codec.h) verbatim; Varint64 extends the
-/// same scheme to 10 bytes.
+/// Builds one frame: reserves the length prefix, appends each field
+/// the walk visits, and Finish() patches the prefix.
 class FrameWriter {
  public:
   explicit FrameWriter(MessageType type) {
@@ -65,16 +80,17 @@ class FrameWriter {
     U8(static_cast<uint8_t>(type));
   }
 
-  void U8(uint8_t v) { bytes_.push_back(v); }
-
-  void Varint32(uint32_t v) { ir::AppendVarint(v, &bytes_); }
-
-  void Varint64(uint64_t v) {
+  /// LEB128, the posting codec's scheme (ir/codec.h); a signed field
+  /// travels as its two's-complement bits.
+  template <typename T>
+  void Varint(T value) {
+    static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+    uint64_t v = static_cast<std::make_unsigned_t<T>>(value);
     while (v >= 0x80u) {
-      bytes_.push_back(static_cast<uint8_t>(v | 0x80u));
+      U8(static_cast<uint8_t>(v | 0x80u));
       v >>= 7;
     }
-    bytes_.push_back(static_cast<uint8_t>(v));
+    U8(static_cast<uint8_t>(v));
   }
 
   /// IEEE-754 bit pattern as 8 explicit little-endian bytes —
@@ -82,29 +98,78 @@ class FrameWriter {
   void F64(double v) {
     uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      bytes_.push_back(static_cast<uint8_t>(bits >> (8 * i)));
-    }
+    for (int i = 0; i < 8; ++i) U8(static_cast<uint8_t>(bits >> (8 * i)));
   }
 
-  void String(const std::string& s) {
-    Varint32(static_cast<uint32_t>(s.size()));
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
+  /// Varint length + raw bytes, cut to `max_bytes` where a frame must
+  /// stay bounded.
+  void String(const std::string& s,
+              size_t max_bytes = std::numeric_limits<size_t>::max()) {
+    const size_t n = std::min(s.size(), max_bytes);
+    Varint(static_cast<uint32_t>(n));
+    bytes_.insert(bytes_.end(), s.begin(), s.begin() + n);
   }
+
+  /// One byte; `last` bounds what the reader accepts.
+  template <typename E>
+  void Enum(E v, E /*last*/) {
+    U8(static_cast<uint8_t>(v));
+  }
+  void Bool(bool v) { Enum(v, true); }
+  /// Two flags in one byte: bit 0, then bit 1.
+  void Flags(bool bit0, bool bit1) { U8((bit0 ? 1 : 0) | (bit1 ? 2 : 0)); }
 
   /// Varint count + packed bitmap, LSB-first within each byte.
-  void BitVector(const std::vector<bool>& bits) {
-    Varint32(static_cast<uint32_t>(bits.size()));
+  void Bits(const std::vector<bool>& bits) {
+    Varint(static_cast<uint32_t>(bits.size()));
     uint8_t byte = 0;
     for (size_t i = 0; i < bits.size(); ++i) {
       if (bits[i]) byte |= static_cast<uint8_t>(1u << (i % 8));
       if (i % 8 == 7) {
-        bytes_.push_back(byte);
+        U8(byte);
         byte = 0;
       }
     }
-    if (bits.size() % 8 != 0) bytes_.push_back(byte);
+    if (bits.size() % 8 != 0) U8(byte);
   }
+
+  /// The element count of `first`; the reader sizes every vector to it.
+  template <typename T, typename... Parallel>
+  size_t Count(size_t /*min_bytes_each*/, const std::vector<T>& first,
+               const Parallel&...) {
+    Varint(static_cast<uint32_t>(first.size()));
+    return first.size();
+  }
+
+  /// A count, then each element: a string, or a body with a Layout.
+  template <typename T>
+  void Each(const std::vector<T>& items, size_t min_bytes_each) {
+    Count(min_bytes_each, items);
+    for (const T& item : items) Item(item);
+  }
+
+  template <typename T>
+  void Walk(const T& body) {
+    Layout<T>::Walk(*this, body);
+  }
+
+  /// A status: its stable wire code, then its capped message.
+  void StatusField(const Status& s, bool /*zero_is_ok*/) {
+    Varint(StatusCodeToWire(s.code()));
+    String(s.message(), kMaxErrorMessageBytes);
+  }
+
+  /// A versioned trailing extension, [u8 ext_version=1] then the
+  /// walk's next fields, written only when `present`: without it a
+  /// frame is byte-identical to one from a peer that predates it.
+  bool Extension(bool present) {
+    if (present) U8(1);
+    return present;
+  }
+
+  /// Checks are the reader's; a writer writes what it is given.
+  template <typename Predicate>
+  void Check(Predicate&&) {}
 
   /// Patches the length prefix. Refuses a frame the receiver would
   /// reject: without this check a >64 MiB message (a huge vocabulary
@@ -126,455 +191,604 @@ class FrameWriter {
   }
 
  private:
+  void U8(uint8_t v) { bytes_.push_back(v); }
+  void Item(const std::string& s) { String(s); }
+  template <typename T>
+  void Item(const T& body) {
+    Walk(body);
+  }
+
   std::vector<uint8_t> bytes_;
 };
 
-/// The wire part of RankOptions, shared by ShardQuery and
-/// SearchRequest: lambda, then one byte each for kernel, prune and
-/// strategy. shared_threshold and doc_filter are in-process execution
-/// policy, not part of the wire query contract — deliberately not
-/// encoded.
-void WriteRankOptions(const ir::RankOptions& o, FrameWriter* w) {
-  w->F64(o.lambda);
-  w->U8(static_cast<uint8_t>(o.kernel));
-  w->U8(o.prune ? 1 : 0);
-  w->U8(static_cast<uint8_t>(o.strategy));
-}
-
-void WriteShardQuery(const ir::ShardQuery& q, FrameWriter* w) {
-  w->Varint64(q.n);
-  w->Varint64(q.max_fragments);
-  w->F64(q.threshold);
-  WriteRankOptions(q.options, w);
-  w->Varint64(static_cast<uint64_t>(q.collection_length));
-  w->Varint32(static_cast<uint32_t>(q.stems.size()));
-  for (size_t i = 0; i < q.stems.size(); ++i) {
-    w->String(q.stems[i]);
-    w->Varint32(static_cast<uint32_t>(q.stem_global_df[i]));
-  }
-}
-
-/// An evaluation's work, as QueryResponse and StatsResponse carry it:
-/// five varints in this order.
-void WriteRankStats(const ir::RankStats& s, FrameWriter* w) {
-  w->Varint64(s.postings_touched);
-  w->Varint64(s.blocks_skipped);
-  w->Varint64(s.blocks_decoded);
-  w->Varint64(s.pivot_iterations);
-  w->Varint64(s.cursor_advances);
-}
-
-void WriteShardResult(const ir::ShardResult& r, FrameWriter* w) {
-  w->Varint32(static_cast<uint32_t>(r.top.size()));
-  for (const ir::ClusterScoredDoc& d : r.top) {
-    w->String(d.url);
-    w->F64(d.score);
-  }
-  WriteRankStats(r.work, w);
-  w->F64(r.elapsed_us);
-  w->BitVector(r.stem_evaluated);
-}
-
-/// A mutation's statistics delta: length, then the strictly ascending
-/// distinct stems.
-void WriteStatsDelta(const ingest::StatsDelta& delta, FrameWriter* w) {
-  w->Varint64(static_cast<uint64_t>(delta.length));
-  w->Varint32(static_cast<uint32_t>(delta.stems.size()));
-  for (const std::string& stem : delta.stems) w->String(stem);
-}
-
 // ---- Decoding ------------------------------------------------------
 
-/// Bounds-checked cursor over a body span. Every accessor checks the
-/// remaining bytes first and latches `failed()` on violation; after a
-/// failure all further reads return zero values, so decoders can read
-/// straight through and test failed() once at the end.
+/// Bounds-checked cursor over a body span. Every field checks the
+/// remaining bytes first and latches a failure on violation; after a
+/// failure every further read fails at once, so a walk reads straight
+/// through and Finish() reports once.
 class BodyReader {
  public:
-  BodyReader(const uint8_t* p, size_t len) : p_(p), end_(p + len) {}
+  BodyReader(const uint8_t* p, size_t len, const char* what)
+      : p_(p), end_(p + len), what_(what) {}
 
-  bool failed() const { return failed_; }
-  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
-
-  uint8_t U8() {
-    if (remaining() < 1) return Fail<uint8_t>();
-    return *p_++;
+  /// A varint capped at 5 bytes for a 32-bit field and 10 for a 64-bit
+  /// one. A 32-bit field must fit its type (a signed one as a
+  /// non-negative value); a signed 64-bit one takes all 64 bits.
+  template <typename T>
+  void Varint(T& v) {
+    static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+    const uint64_t wide = ReadVarint(sizeof(T) == 4 ? 5 : 10);
+    if constexpr (sizeof(T) == 4) {
+      if (wide > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+        return Fail();
+      }
+    }
+    v = static_cast<T>(wide);
   }
 
-  uint32_t Varint32() {
-    uint64_t v = Varint(5);
-    if (v > 0xffffffffull) return Fail<uint32_t>();
-    return static_cast<uint32_t>(v);
-  }
-
-  uint64_t Varint64() { return Varint(10); }
-
-  double F64() {
-    if (remaining() < 8) return Fail<double>();
+  void F64(double& v) {
+    if (remaining() < 8) return Fail();
     uint64_t bits = 0;
     for (int i = 0; i < 8; ++i) {
       bits |= static_cast<uint64_t>(p_[i]) << (8 * i);
     }
     p_ += 8;
-    double v;
     std::memcpy(&v, &bits, sizeof(v));
-    return v;
   }
 
-  std::string String() {
-    uint32_t len = Varint32();
-    if (failed_ || remaining() < len) return (Fail<int>(), std::string());
-    std::string s(reinterpret_cast<const char*>(p_), len);
+  void String(std::string& s,
+              size_t /*max_bytes*/ = std::numeric_limits<size_t>::max()) {
+    uint32_t len = 0;
+    Varint(len);
+    if (failed_ || remaining() < len) return Fail();
+    s.assign(reinterpret_cast<const char*>(p_), len);
     p_ += len;
-    return s;
   }
 
-  std::vector<bool> BitVector() {
-    uint32_t count = Varint32();
+  /// A byte past `last` is corruption, not a value to remap.
+  template <typename E>
+  void Enum(E& v, E last) {
+    const uint8_t byte = U8();
+    if (byte > static_cast<uint8_t>(last)) return Fail();
+    v = static_cast<E>(byte);
+  }
+  void Bool(bool& v) { Enum(v, true); }
+  void Flags(bool& bit0, bool& bit1) {
+    const uint8_t byte = U8();
+    if (byte > 3) return Fail();
+    bit0 = (byte & 1u) != 0;
+    bit1 = (byte & 2u) != 0;
+  }
+
+  void Bits(std::vector<bool>& bits) {
+    uint32_t count = 0;
+    Varint(count);
     const size_t bytes = (static_cast<size_t>(count) + 7) / 8;
-    if (failed_ || remaining() < bytes) {
-      return (Fail<int>(), std::vector<bool>());
-    }
-    std::vector<bool> bits(count);
+    if (failed_ || remaining() < bytes) return Fail();
+    bits.resize(count);
     for (uint32_t i = 0; i < count; ++i) {
       bits[i] = (p_[i / 8] >> (i % 8)) & 1u;
     }
     p_ += bytes;
-    return bits;
   }
 
   /// Reads an element count and rejects it unless the remaining bytes
   /// could hold `min_bytes_each` per element — a fuzzer-supplied count
-  /// must never drive an allocation the frame cannot back.
-  uint32_t Count(size_t min_bytes_each) {
-    uint32_t count = Varint32();
-    if (failed_ || static_cast<uint64_t>(count) * min_bytes_each >
-                       remaining()) {
-      return Fail<uint32_t>();
+  /// must never drive an allocation the frame cannot back — then sizes
+  /// each vector to it.
+  template <typename... Vectors>
+  size_t Count(size_t min_bytes_each, Vectors&... vectors) {
+    uint32_t count = 0;
+    Varint(count);
+    if (failed_ || uint64_t{count} * min_bytes_each > remaining()) {
+      Fail();
+      return 0;
     }
+    (vectors.resize(count), ...);
     return count;
   }
 
- private:
   template <typename T>
-  T Fail() {
+  void Each(std::vector<T>& items, size_t min_bytes_each) {
+    const size_t count = Count(min_bytes_each, items);
+    for (size_t i = 0; i < count && !failed_; ++i) Item(items[i]);
+  }
+
+  template <typename T>
+  void Walk(T& body) {
+    Layout<T>::Walk(*this, body);
+  }
+
+  /// Wire code 0 is ok only where `zero_is_ok` (a SearchResponse's
+  /// answer). In an Error frame it is a lie, and like a code this build
+  /// doesn't know (a newer peer's) it degrades to kInternal.
+  void StatusField(Status& s, bool zero_is_ok) {
+    uint32_t wire = 0;
+    Varint(wire);
+    std::string message;
+    String(message);
+    StatusCode code;
+    if (wire == 0 && zero_is_ok) {
+      s = Status::Ok();
+    } else if (StatusCodeFromWire(wire, &code)) {
+      s = Status(code, std::move(message));
+    } else {
+      s = Status::Internal("peer error: " + message);
+    }
+  }
+
+  /// Whether a versioned trailing extension follows the base fields.
+  /// Version 1 is this build's; 0 is never written (corruption), and
+  /// anything newer is a well-formed frame from a future peer —
+  /// kFeatureUnsupported, not corruption.
+  bool Extension(bool /*present*/) {
+    if (failed_ || remaining() == 0) return false;
+    const uint8_t version = U8();
+    if (version > 1) {
+      unsupported_ = Status::FeatureUnsupported(
+          StrFormat("%s extension version %u from a newer peer (this build "
+                    "speaks up to 1)",
+                    what_, version));
+    }
+    if (version != 1) Fail();
+    return version == 1;
+  }
+
+  template <typename Predicate>
+  void Check(Predicate&& holds) {
+    if (!failed_ && !holds()) Fail();
+  }
+
+  /// Every field read, every check held, and no byte left over.
+  Status Finish() const {
+    if (!unsupported_.ok()) return unsupported_;
+    if (failed_ || remaining() != 0) return Truncated(what_);
+    return Status::Ok();
+  }
+
+ private:
+  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
+
+  void Fail() {
     failed_ = true;
     p_ = end_;
-    return T();
+  }
+
+  uint8_t U8() {
+    if (remaining() < 1) {
+      Fail();
+      return 0;
+    }
+    return *p_++;
   }
 
   /// LEB128 with an explicit byte cap: a varint that keeps its
   /// continuation bit set past `max_bytes` is malformed, not a longer
   /// loop (the unchecked ir/codec.h decoder trusts its own encoder;
   /// the wire cannot).
-  uint64_t Varint(int max_bytes) {
+  uint64_t ReadVarint(int max_bytes) {
     uint64_t v = 0;
-    for (int i = 0; i < max_bytes; ++i) {
-      if (remaining() < 1) return Fail<uint64_t>();
+    for (int i = 0; i < max_bytes && remaining() > 0; ++i) {
       const uint8_t byte = *p_++;
       v |= static_cast<uint64_t>(byte & 0x7fu) << (7 * i);
       if ((byte & 0x80u) == 0) return v;
     }
-    return Fail<uint64_t>();
+    Fail();
+    return 0;
+  }
+
+  void Item(std::string& s) { String(s); }
+  template <typename T>
+  void Item(T& body) {
+    Walk(body);
   }
 
   const uint8_t* p_;
   const uint8_t* end_;
+  const char* what_;
   bool failed_ = false;
+  Status unsupported_;
 };
 
-Status Truncated(const char* what) {
-  return Status::Corruption(std::string("wire: malformed ") + what);
+// ---- Layouts: nested bodies ----------------------------------------
+
+/// The wire part of RankOptions, shared by ShardQuery and
+/// SearchRequest. shared_threshold and doc_filter are in-process
+/// execution policy, not part of the wire query contract —
+/// deliberately not encoded.
+template <>
+struct Layout<ir::RankOptions> {
+  static void Walk(auto& io, auto& o) {
+    io.F64(o.lambda);
+    io.Enum(o.kernel, ir::ScoreKernel::kPacked);
+    io.Bool(o.prune);
+    io.Enum(o.strategy, ir::RankStrategy::kWand);
+  }
+};
+
+template <>
+struct Layout<ir::ShardQuery> {
+  static void Walk(auto& io, auto& q) {
+    io.Varint(q.n);
+    io.Varint(q.max_fragments);
+    io.F64(q.threshold);
+    io.Walk(q.options);
+    io.Varint(q.collection_length);
+    const size_t stems =
+        io.Count(/*min_bytes_each=*/2, q.stems, q.stem_global_df);
+    for (size_t i = 0; i < stems; ++i) {
+      io.String(q.stems[i]);
+      io.Varint(q.stem_global_df[i]);
+      // df == 0 would divide by zero in TermWeight; the centre only
+      // ever pushes stems present in the global vocabulary.
+      io.Check([&] { return q.stem_global_df[i] >= 1; });
+    }
+  }
+};
+
+/// An evaluation's work, as QueryResponse and StatsResponse carry it.
+template <>
+struct Layout<ir::RankStats> {
+  static void Walk(auto& io, auto& s) {
+    io.Varint(s.postings_touched);
+    io.Varint(s.blocks_skipped);
+    io.Varint(s.blocks_decoded);
+    io.Varint(s.pivot_iterations);
+    io.Varint(s.cursor_advances);
+  }
+};
+
+/// One RES(url, score) tuple.
+template <>
+struct Layout<ir::ClusterScoredDoc> {
+  static void Walk(auto& io, auto& d) {
+    io.String(d.url);
+    io.F64(d.score);
+  }
+};
+
+template <>
+struct Layout<ir::ShardResult> {
+  static void Walk(auto& io, auto& r) {
+    io.Each(r.top, /*min_bytes_each=*/9);
+    io.Walk(r.work);
+    io.F64(r.elapsed_us);
+    io.Bits(r.stem_evaluated);
+  }
+};
+
+/// A mutation's statistics delta. Rejects what no LiveIndex can
+/// report: a length beyond int64 or below the stem count (every
+/// distinct stem occurs at least once), stems out of strictly
+/// ascending order (a duplicate included).
+template <>
+struct Layout<ingest::StatsDelta> {
+  static void Walk(auto& io, auto& d) {
+    io.Varint(d.length);
+    io.Each(d.stems, /*min_bytes_each=*/1);
+    io.Check([&] {
+      return d.length >= 0 &&
+             static_cast<uint64_t>(d.length) >= d.stems.size() &&
+             std::adjacent_find(d.stems.begin(), d.stems.end(),
+                                std::greater_equal<>()) == d.stems.end();
+    });
+  }
+};
+
+/// One (term, df) row of the stats handshake.
+template <>
+struct Layout<std::pair<std::string, int32_t>> {
+  static void Walk(auto& io, auto& row) {
+    io.String(row.first);
+    io.Varint(row.second);
+  }
+};
+
+// ---- Layouts: messages, in frame-type order -------------------------
+
+template <>
+struct Layout<QueryRequest> {
+  static constexpr MessageType kType = MessageType::kQueryRequest;
+  static constexpr const char* kName = "QueryRequest";
+  static void Walk(auto& io, auto& m) {
+    io.Varint(m.node_id);
+    io.Each(m.queries, /*min_bytes_each=*/20);
+  }
+};
+
+template <>
+struct Layout<QueryResponse> {
+  static constexpr MessageType kType = MessageType::kQueryResponse;
+  static constexpr const char* kName = "QueryResponse";
+  static void Walk(auto& io, auto& m) {
+    io.Varint(m.node_id);
+    io.Each(m.results, /*min_bytes_each=*/12);
+  }
+};
+
+template <>
+struct Layout<StatsRequest> {
+  static constexpr MessageType kType = MessageType::kStatsRequest;
+  static constexpr const char* kName = "StatsRequest";
+  static void Walk(auto& io, auto& m) { io.Varint(m.node_id); }
+};
+
+template <>
+struct Layout<StatsResponse> {
+  static constexpr MessageType kType = MessageType::kStatsResponse;
+  static constexpr const char* kName = "StatsResponse";
+  static void Walk(auto& io, auto& m) {
+    io.Varint(m.node_id);
+    io.Flags(m.stem, m.stop);
+    io.Varint(m.collection_length);
+    io.Varint(m.document_count);
+    io.Varint(m.mutation_epoch);
+    io.Walk(m.work);
+    io.Each(m.term_dfs, /*min_bytes_each=*/2);
+  }
+};
+
+/// An Error frame carries the Status itself.
+template <>
+struct Layout<Status> {
+  static constexpr MessageType kType = MessageType::kError;
+  static constexpr const char* kName = "Error frame";
+  static void Walk(auto& io, auto& status) {
+    io.StatusField(status, /*zero_is_ok=*/false);
+  }
+};
+
+template <>
+struct Layout<SearchRequest> {
+  static constexpr MessageType kType = MessageType::kSearchRequest;
+  static constexpr const char* kName = "SearchRequest";
+  static void Walk(auto& io, auto& m) {
+    io.Each(m.words, /*min_bytes_each=*/1);
+    io.Varint(m.n);
+    io.Varint(m.max_fragments);
+    io.Varint(m.deadline_ms);
+    io.Walk(m.options);
+    if (io.Extension(!m.structured.empty())) {
+      io.String(m.structured);
+      io.Check([&] { return !m.structured.empty(); });
+    }
+  }
+};
+
+template <>
+struct Layout<SearchResponse> {
+  static constexpr MessageType kType = MessageType::kSearchResponse;
+  static constexpr const char* kName = "SearchResponse";
+  static void Walk(auto& io, auto& m) {
+    io.StatusField(m.status, /*zero_is_ok=*/true);
+    io.Varint(m.retry_after_ms);
+    io.Flags(m.cache_hit, m.degraded);
+    io.F64(m.predicted_quality);
+    io.Each(m.results, /*min_bytes_each=*/9);
+    if (io.Extension(!m.plan.empty())) {
+      io.String(m.plan);
+      io.Check([&] { return !m.plan.empty(); });
+    }
+  }
+};
+
+template <>
+struct Layout<ServeStatsRequest> {
+  static constexpr MessageType kType = MessageType::kServeStatsRequest;
+  static constexpr const char* kName = "ServeStatsRequest";
+  static void Walk(auto&, auto&) {}
+};
+
+template <>
+struct Layout<serve::ServeStats> {
+  static constexpr MessageType kType = MessageType::kServeStatsResponse;
+  static constexpr const char* kName = "ServeStatsResponse";
+  static void Walk(auto& io, auto& s) {
+    io.Varint(s.submitted);
+    io.Varint(s.admitted);
+    io.Varint(s.completed);
+    io.Varint(s.cache_hits);
+    io.Varint(s.cache_misses);
+    io.Varint(s.cache_evictions);
+    io.Varint(s.shed_queue_full);
+    io.Varint(s.shed_deadline);
+    io.Varint(s.expired_in_queue);
+    io.Varint(s.degraded);
+    io.Varint(s.batches);
+    io.Varint(s.batched_queries);
+    io.Varint(s.queue_depth);
+    io.Varint(s.epoch);
+    io.Varint(s.bytes_resident);
+    io.Varint(s.bytes_mapped);
+    io.Varint(s.latency.count);  // the snapshot's sum stays home
+    io.F64(s.latency.mean);
+    io.Varint(s.latency.p50);
+    io.Varint(s.latency.p95);
+    io.Varint(s.latency.p99);
+    io.Varint(s.latency.max);
+    io.Varint(s.hedges_fired);
+    io.Varint(s.hedge_wins);
+    io.Varint(s.failovers);
+    io.Varint(s.epoch_changes);
+    io.Varint(s.cache_warmed);
+    io.Varint(s.stale_served);
+    // The federated block is written only once the frontend has served
+    // federated traffic, so an idle upgraded server still encodes
+    // byte-identically to a pre-federation build, and a frame without
+    // it decodes with the block zeroed. A pre-extension client fails
+    // closed on the block: it predates the version scheme.
+    if (io.Extension(s.federated_queries != 0 ||
+                     s.federated_filter_docs != 0 ||
+                     s.federated_text_us != 0 ||
+                     s.federated_webspace_us != 0 ||
+                     s.federated_cobra_us != 0 ||
+                     !s.last_federated_plan.empty())) {
+      io.Varint(s.federated_queries);
+      io.Varint(s.federated_filter_docs);
+      io.Varint(s.federated_text_us);
+      io.Varint(s.federated_webspace_us);
+      io.Varint(s.federated_cobra_us);
+      io.String(s.last_federated_plan, kMaxErrorMessageBytes);
+    }
+  }
+};
+
+template <>
+struct Layout<InsertRequest> {
+  static constexpr MessageType kType = MessageType::kInsertRequest;
+  static constexpr const char* kName = "InsertRequest";
+  static void Walk(auto& io, auto& m) {
+    io.Varint(m.node_id);
+    io.String(m.url);
+    io.String(m.text);
+  }
+};
+
+template <>
+struct Layout<InsertResponse> {
+  static constexpr MessageType kType = MessageType::kInsertResponse;
+  static constexpr const char* kName = "InsertResponse";
+  static void Walk(auto& io, auto& m) {
+    io.Varint(m.node_id);
+    io.Varint(m.doc_id);
+    io.Varint(m.epoch);
+    io.Walk(m.delta);
+  }
+};
+
+template <>
+struct Layout<DeleteRequest> {
+  static constexpr MessageType kType = MessageType::kDeleteRequest;
+  static constexpr const char* kName = "DeleteRequest";
+  static void Walk(auto& io, auto& m) {
+    io.Varint(m.node_id);
+    io.String(m.url);
+  }
+};
+
+template <>
+struct Layout<DeleteResponse> {
+  static constexpr MessageType kType = MessageType::kDeleteResponse;
+  static constexpr const char* kName = "DeleteResponse";
+  static void Walk(auto& io, auto& m) {
+    io.Varint(m.node_id);
+    io.Bool(m.found);
+    io.Varint(m.epoch);
+    io.Walk(m.delta);
+    // A delete that found nothing changed no statistics.
+    io.Check([&] { return m.found || m.delta == ingest::StatsDelta{}; });
+  }
+};
+
+template <>
+struct Layout<MergeRequest> {
+  static constexpr MessageType kType = MessageType::kMergeRequest;
+  static constexpr const char* kName = "MergeRequest";
+  static void Walk(auto& io, auto& m) { io.Varint(m.node_id); }
+};
+
+template <>
+struct Layout<MergeResponse> {
+  static constexpr MessageType kType = MessageType::kMergeResponse;
+  static constexpr const char* kName = "MergeResponse";
+  static void Walk(auto& io, auto& m) {
+    io.Varint(m.node_id);
+    io.Varint(m.epoch);
+    io.Varint(m.merges);
+  }
+};
+
+template <typename M>
+Result<std::vector<uint8_t>> Encode(const M& message) {
+  FrameWriter w(Layout<M>::kType);
+  w.Walk(message);
+  return w.Finish();
 }
 
-/// Reads what WriteRankOptions wrote. A kernel or strategy byte past
-/// the last enumerator, or a prune byte other than 0/1, is corruption:
-/// no peer of this wire version writes one.
-bool ReadRankOptions(BodyReader* r, ir::RankOptions* o) {
-  constexpr uint8_t kLastKernel =
-      static_cast<uint8_t>(ir::ScoreKernel::kPacked);
-  constexpr uint8_t kLastStrategy =
-      static_cast<uint8_t>(ir::RankStrategy::kWand);
-  o->lambda = r->F64();
-  const uint8_t kernel = r->U8();
-  const uint8_t prune = r->U8();
-  const uint8_t strategy = r->U8();
-  if (r->failed() || kernel > kLastKernel || prune > 1 ||
-      strategy > kLastStrategy) {
-    return false;
-  }
-  o->kernel = static_cast<ir::ScoreKernel>(kernel);
-  o->prune = prune != 0;
-  o->strategy = static_cast<ir::RankStrategy>(strategy);
-  return true;
+template <typename M>
+Status DecodeInto(const uint8_t* body, size_t len, M* message) {
+  BodyReader r(body, len, Layout<M>::kName);
+  r.Walk(*message);
+  return r.Finish();
 }
 
-bool ReadShardQuery(BodyReader* r, ir::ShardQuery* q) {
-  q->n = r->Varint64();
-  q->max_fragments = r->Varint64();
-  q->threshold = r->F64();
-  if (!ReadRankOptions(r, &q->options)) return false;
-  q->collection_length = static_cast<int64_t>(r->Varint64());
-  const uint32_t stems = r->Count(/*min_bytes_each=*/2);
-  if (r->failed()) return false;
-  q->stems.reserve(stems);
-  q->stem_global_df.reserve(stems);
-  for (uint32_t i = 0; i < stems; ++i) {
-    q->stems.push_back(r->String());
-    const uint32_t df = r->Varint32();
-    // df == 0 would divide by zero in TermWeight; the centre only ever
-    // pushes stems present in the global vocabulary.
-    if (r->failed() || df == 0 || df > 0x7fffffffu) return false;
-    q->stem_global_df.push_back(static_cast<int32_t>(df));
-  }
-  return !r->failed();
-}
-
-/// Rejects what no LiveIndex can report: stems out of strictly
-/// ascending order (a duplicate included), a length beyond int64 or
-/// below the stem count (every distinct stem occurs at least once).
-bool ReadStatsDelta(BodyReader* r, ingest::StatsDelta* delta) {
-  const uint64_t length = r->Varint64();
-  const uint32_t stems = r->Count(/*min_bytes_each=*/1);
-  if (r->failed() || length > static_cast<uint64_t>(INT64_MAX) ||
-      length < stems) {
-    return false;
-  }
-  delta->length = static_cast<int64_t>(length);
-  delta->stems.reserve(stems);
-  for (uint32_t i = 0; i < stems; ++i) {
-    std::string stem = r->String();
-    if (r->failed() || (i > 0 && !(delta->stems.back() < stem))) return false;
-    delta->stems.push_back(std::move(stem));
-  }
-  return true;
-}
-
-void ReadRankStats(BodyReader* r, ir::RankStats* s) {
-  s->postings_touched = r->Varint64();
-  s->blocks_skipped = r->Varint64();
-  s->blocks_decoded = r->Varint64();
-  s->pivot_iterations = r->Varint64();
-  s->cursor_advances = r->Varint64();
-}
-
-bool ReadShardResult(BodyReader* r, ir::ShardResult* out) {
-  const uint32_t docs = r->Count(/*min_bytes_each=*/9);
-  if (r->failed()) return false;
-  out->top.reserve(docs);
-  for (uint32_t i = 0; i < docs; ++i) {
-    ir::ClusterScoredDoc d;
-    d.url = r->String();
-    d.score = r->F64();
-    if (r->failed()) return false;
-    out->top.push_back(std::move(d));
-  }
-  ReadRankStats(r, &out->work);
-  out->elapsed_us = r->F64();
-  out->stem_evaluated = r->BitVector();
-  return !r->failed();
+template <typename M>
+Result<M> Decode(const uint8_t* body, size_t len) {
+  M message;
+  DLS_RETURN_IF_ERROR(DecodeInto(body, len, &message));
+  return message;
 }
 
 }  // namespace
 
+// The infallible encoders' messages are bounded: flat scalars, capped
+// strings or no body always fit the frame cap.
+
 Result<std::vector<uint8_t>> EncodeQueryRequest(const QueryRequest& request) {
-  FrameWriter w(MessageType::kQueryRequest);
-  w.Varint32(request.node_id);
-  w.Varint32(static_cast<uint32_t>(request.queries.size()));
-  for (const ir::ShardQuery& q : request.queries) WriteShardQuery(q, &w);
-  return w.Finish();
+  return Encode(request);
 }
 
 Result<std::vector<uint8_t>> EncodeQueryResponse(
     const QueryResponse& response) {
-  FrameWriter w(MessageType::kQueryResponse);
-  w.Varint32(response.node_id);
-  w.Varint32(static_cast<uint32_t>(response.results.size()));
-  for (const ir::ShardResult& r : response.results) WriteShardResult(r, &w);
-  return w.Finish();
+  return Encode(response);
 }
 
 std::vector<uint8_t> EncodeStatsRequest(const StatsRequest& request) {
-  FrameWriter w(MessageType::kStatsRequest);
-  w.Varint32(request.node_id);
-  return std::move(w.Finish()).value();  // bounded: always fits
+  return Encode(request).value();
 }
 
 Result<std::vector<uint8_t>> EncodeStatsResponse(
     const StatsResponse& response) {
-  FrameWriter w(MessageType::kStatsResponse);
-  w.Varint32(response.node_id);
-  w.U8(static_cast<uint8_t>((response.stem ? 1u : 0u) |
-                            (response.stop ? 2u : 0u)));
-  w.Varint64(static_cast<uint64_t>(response.collection_length));
-  w.Varint64(response.document_count);
-  w.Varint64(response.mutation_epoch);
-  WriteRankStats(response.work, &w);
-  w.Varint32(static_cast<uint32_t>(response.term_dfs.size()));
-  for (const auto& [term, df] : response.term_dfs) {
-    w.String(term);
-    w.Varint32(static_cast<uint32_t>(df));
-  }
-  return w.Finish();
+  return Encode(response);
 }
 
 std::vector<uint8_t> EncodeError(const Status& status) {
-  FrameWriter w(MessageType::kError);
-  w.Varint32(StatusCodeToWire(status.code()));
-  w.String(status.message().substr(0, kMaxErrorMessageBytes));
-  return std::move(w.Finish()).value();  // bounded by the truncation
+  return Encode(status).value();
 }
 
 Result<std::vector<uint8_t>> EncodeSearchRequest(
     const SearchRequest& request) {
-  FrameWriter w(MessageType::kSearchRequest);
-  w.Varint32(static_cast<uint32_t>(request.words.size()));
-  for (const std::string& word : request.words) w.String(word);
-  w.Varint64(request.n);
-  w.Varint64(request.max_fragments);
-  w.Varint32(request.deadline_ms);
-  WriteRankOptions(request.options, &w);
-  if (!request.structured.empty()) {
-    // Versioned trailing extension (see the struct comment): absent
-    // entirely for plain word queries, so pre-extension peers still
-    // interoperate on those.
-    w.U8(1);  // ext_version
-    w.String(request.structured);
-  }
-  return w.Finish();
+  return Encode(request);
 }
 
 Result<std::vector<uint8_t>> EncodeSearchResponse(
     const SearchResponse& response) {
-  FrameWriter w(MessageType::kSearchResponse);
-  w.Varint32(StatusCodeToWire(response.status.code()));
-  w.String(response.status.message().substr(0, kMaxErrorMessageBytes));
-  w.Varint32(response.retry_after_ms);
-  w.U8(static_cast<uint8_t>((response.cache_hit ? 1u : 0u) |
-                            (response.degraded ? 2u : 0u)));
-  w.F64(response.predicted_quality);
-  w.Varint32(static_cast<uint32_t>(response.results.size()));
-  for (const ir::ClusterScoredDoc& d : response.results) {
-    w.String(d.url);
-    w.F64(d.score);
-  }
-  if (!response.plan.empty()) {
-    w.U8(1);  // ext_version (same scheme as SearchRequest)
-    w.String(response.plan);
-  }
-  return w.Finish();
+  return Encode(response);
 }
 
-std::vector<uint8_t> EncodeServeStatsRequest(const ServeStatsRequest&) {
-  FrameWriter w(MessageType::kServeStatsRequest);
-  return std::move(w.Finish()).value();  // empty body: always fits
+std::vector<uint8_t> EncodeServeStatsRequest(const ServeStatsRequest& request) {
+  return Encode(request).value();
 }
 
-std::vector<uint8_t> EncodeServeStatsResponse(
-    const ServeStatsResponse& response) {
-  FrameWriter w(MessageType::kServeStatsResponse);
-  w.Varint64(response.submitted);
-  w.Varint64(response.admitted);
-  w.Varint64(response.completed);
-  w.Varint64(response.cache_hits);
-  w.Varint64(response.cache_misses);
-  w.Varint64(response.cache_evictions);
-  w.Varint64(response.shed_queue_full);
-  w.Varint64(response.shed_deadline);
-  w.Varint64(response.expired_in_queue);
-  w.Varint64(response.degraded);
-  w.Varint64(response.batches);
-  w.Varint64(response.batched_queries);
-  w.Varint64(response.queue_depth);
-  w.Varint64(response.epoch);
-  w.Varint64(response.bytes_resident);
-  w.Varint64(response.bytes_mapped);
-  w.Varint64(response.latency_count);
-  w.F64(response.latency_mean_us);
-  w.Varint64(response.latency_p50_us);
-  w.Varint64(response.latency_p95_us);
-  w.Varint64(response.latency_p99_us);
-  w.Varint64(response.latency_max_us);
-  w.Varint64(response.hedges_fired);
-  w.Varint64(response.hedge_wins);
-  w.Varint64(response.failovers);
-  w.Varint64(response.epoch_changes);
-  w.Varint64(response.cache_warmed);
-  w.Varint64(response.stale_served);
-  // Federated-mediation block: a versioned trailing extension (same
-  // scheme as SearchRequest), emitted only once the server has
-  // actually served federated traffic. An all-zero block encodes
-  // byte-identically to a pre-federation frame, so an old client
-  // keeps decoding an upgraded server's stats until the first
-  // federated query lands — after that it sees trailing bytes and
-  // fails closed (it cannot be taught kFeatureUnsupported
-  // retroactively; that residual skew is the documented limit of
-  // old-reader compatibility here).
-  const bool federated_block =
-      response.federated_queries != 0 || response.federated_filter_docs != 0 ||
-      response.federated_text_us != 0 ||
-      response.federated_webspace_us != 0 ||
-      response.federated_cobra_us != 0 ||
-      !response.last_federated_plan.empty();
-  if (federated_block) {
-    w.U8(1);  // ext_version
-    w.Varint64(response.federated_queries);
-    w.Varint64(response.federated_filter_docs);
-    w.Varint64(response.federated_text_us);
-    w.Varint64(response.federated_webspace_us);
-    w.Varint64(response.federated_cobra_us);
-    w.String(response.last_federated_plan.substr(0, kMaxErrorMessageBytes));
-  }
-  return std::move(w.Finish()).value();  // scalars + bounded plan: fits
+std::vector<uint8_t> EncodeServeStatsResponse(const serve::ServeStats& stats) {
+  return Encode(stats).value();
 }
 
 Result<std::vector<uint8_t>> EncodeInsertRequest(const InsertRequest& request) {
-  FrameWriter w(MessageType::kInsertRequest);
-  w.Varint32(request.node_id);
-  w.String(request.url);
-  w.String(request.text);
-  return w.Finish();
+  return Encode(request);
 }
 
 Result<std::vector<uint8_t>> EncodeInsertResponse(
     const InsertResponse& response) {
-  FrameWriter w(MessageType::kInsertResponse);
-  w.Varint32(response.node_id);
-  w.Varint64(response.doc_id);
-  w.Varint64(response.epoch);
-  WriteStatsDelta(response.delta, &w);
-  return w.Finish();
+  return Encode(response);
 }
 
 Result<std::vector<uint8_t>> EncodeDeleteRequest(const DeleteRequest& request) {
-  FrameWriter w(MessageType::kDeleteRequest);
-  w.Varint32(request.node_id);
-  w.String(request.url);
-  return w.Finish();
+  return Encode(request);
 }
 
 Result<std::vector<uint8_t>> EncodeDeleteResponse(
     const DeleteResponse& response) {
-  FrameWriter w(MessageType::kDeleteResponse);
-  w.Varint32(response.node_id);
-  w.U8(response.found ? 1 : 0);
-  w.Varint64(response.epoch);
-  WriteStatsDelta(response.delta, &w);
-  return w.Finish();
+  return Encode(response);
 }
 
 std::vector<uint8_t> EncodeMergeRequest(const MergeRequest& request) {
-  FrameWriter w(MessageType::kMergeRequest);
-  w.Varint32(request.node_id);
-  return std::move(w.Finish()).value();  // flat scalars: always fits
+  return Encode(request).value();
 }
 
 std::vector<uint8_t> EncodeMergeResponse(const MergeResponse& response) {
-  FrameWriter w(MessageType::kMergeResponse);
-  w.Varint32(response.node_id);
-  w.Varint64(response.epoch);
-  w.Varint64(response.merges);
-  return std::move(w.Finish()).value();  // flat scalars: always fits
+  return Encode(response).value();
 }
 
 Status DecodeFrame(const std::vector<uint8_t>& frame, MessageType* type,
@@ -589,7 +803,10 @@ Status DecodeFrame(const std::vector<uint8_t>& frame, MessageType* type,
     return Truncated("frame length");
   }
   const uint8_t raw = frame[kFrameHeaderBytes];
-  if (raw < 1 || raw > 15) return Truncated("message type");
+  if (raw < static_cast<uint8_t>(MessageType::kQueryRequest) ||
+      raw > static_cast<uint8_t>(MessageType::kMergeResponse)) {
+    return Truncated("message type");
+  }
   *type = static_cast<MessageType>(raw);
   *body = frame.data() + kFrameHeaderBytes + 1;
   *body_len = payload - 1;
@@ -597,301 +814,67 @@ Status DecodeFrame(const std::vector<uint8_t>& frame, MessageType* type,
 }
 
 Result<QueryRequest> DecodeQueryRequest(const uint8_t* body, size_t len) {
-  BodyReader r(body, len);
-  QueryRequest request;
-  request.node_id = r.Varint32();
-  const uint32_t queries = r.Count(/*min_bytes_each=*/20);
-  if (r.failed()) return Truncated("QueryRequest");
-  request.queries.resize(queries);
-  for (uint32_t i = 0; i < queries; ++i) {
-    if (!ReadShardQuery(&r, &request.queries[i])) {
-      return Truncated("QueryRequest");
-    }
-  }
-  if (r.failed() || r.remaining() != 0) return Truncated("QueryRequest");
-  return request;
+  return Decode<QueryRequest>(body, len);
 }
 
 Result<QueryResponse> DecodeQueryResponse(const uint8_t* body, size_t len) {
-  BodyReader r(body, len);
-  QueryResponse response;
-  response.node_id = r.Varint32();
-  const uint32_t results = r.Count(/*min_bytes_each=*/12);
-  if (r.failed()) return Truncated("QueryResponse");
-  response.results.resize(results);
-  for (uint32_t i = 0; i < results; ++i) {
-    if (!ReadShardResult(&r, &response.results[i])) {
-      return Truncated("QueryResponse");
-    }
-  }
-  if (r.failed() || r.remaining() != 0) return Truncated("QueryResponse");
-  return response;
+  return Decode<QueryResponse>(body, len);
 }
 
 Result<StatsRequest> DecodeStatsRequest(const uint8_t* body, size_t len) {
-  BodyReader r(body, len);
-  StatsRequest request;
-  request.node_id = r.Varint32();
-  if (r.failed() || r.remaining() != 0) return Truncated("StatsRequest");
-  return request;
+  return Decode<StatsRequest>(body, len);
 }
 
 Result<StatsResponse> DecodeStatsResponse(const uint8_t* body, size_t len) {
-  BodyReader r(body, len);
-  StatsResponse response;
-  response.node_id = r.Varint32();
-  const uint8_t norm_flags = r.U8();
-  if (r.failed() || norm_flags > 3) return Truncated("StatsResponse");
-  response.stem = (norm_flags & 1u) != 0;
-  response.stop = (norm_flags & 2u) != 0;
-  response.collection_length = static_cast<int64_t>(r.Varint64());
-  response.document_count = r.Varint64();
-  response.mutation_epoch = r.Varint64();
-  ReadRankStats(&r, &response.work);
-  const uint32_t terms = r.Count(/*min_bytes_each=*/2);
-  if (r.failed()) return Truncated("StatsResponse");
-  response.term_dfs.reserve(terms);
-  for (uint32_t i = 0; i < terms; ++i) {
-    std::string term = r.String();
-    const uint32_t df = r.Varint32();
-    if (r.failed() || df > 0x7fffffffu) return Truncated("StatsResponse");
-    response.term_dfs.emplace_back(std::move(term),
-                                   static_cast<int32_t>(df));
-  }
-  if (r.failed() || r.remaining() != 0) return Truncated("StatsResponse");
-  return response;
+  return Decode<StatsResponse>(body, len);
 }
 
 Result<SearchRequest> DecodeSearchRequest(const uint8_t* body, size_t len) {
-  BodyReader r(body, len);
-  SearchRequest request;
-  const uint32_t words = r.Count(/*min_bytes_each=*/1);
-  if (r.failed()) return Truncated("SearchRequest");
-  request.words.reserve(words);
-  for (uint32_t i = 0; i < words; ++i) {
-    request.words.push_back(r.String());
-    if (r.failed()) return Truncated("SearchRequest");
-  }
-  request.n = r.Varint64();
-  request.max_fragments = r.Varint64();
-  request.deadline_ms = r.Varint32();
-  if (!ReadRankOptions(&r, &request.options)) {
-    return Truncated("SearchRequest");
-  }
-  if (r.remaining() != 0) {
-    // Versioned trailing extension. Version 1 carries the structured
-    // federated query; anything newer is a well-formed frame from a
-    // future peer — kFeatureUnsupported, not corruption.
-    const uint8_t ext_version = r.U8();
-    if (r.failed() || ext_version == 0) return Truncated("SearchRequest");
-    if (ext_version > 1) {
-      return Status::FeatureUnsupported(StrFormat(
-          "SearchRequest extension version %u from a newer peer (this "
-          "build speaks up to 1)",
-          ext_version));
-    }
-    request.structured = r.String();
-    if (r.failed() || request.structured.empty() || r.remaining() != 0) {
-      return Truncated("SearchRequest");
-    }
-  }
-  return request;
+  return Decode<SearchRequest>(body, len);
 }
 
 Result<SearchResponse> DecodeSearchResponse(const uint8_t* body, size_t len) {
-  BodyReader r(body, len);
-  SearchResponse response;
-  const uint32_t wire_code = r.Varint32();
-  std::string message = r.String();
-  if (r.failed()) return Truncated("SearchResponse");
-  if (wire_code == 0) {
-    response.status = Status::Ok();
-  } else {
-    StatusCode code;
-    // An unknown code (a newer peer's) degrades to kInternal: still an
-    // unanswered query, never misread as a neighbouring code.
-    response.status = StatusCodeFromWire(wire_code, &code)
-                          ? Status(code, std::move(message))
-                          : Status::Internal("peer error: " + message);
-  }
-  response.retry_after_ms = r.Varint32();
-  const uint8_t flags = r.U8();
-  if (r.failed() || flags > 3) return Truncated("SearchResponse");
-  response.cache_hit = (flags & 1u) != 0;
-  response.degraded = (flags & 2u) != 0;
-  response.predicted_quality = r.F64();
-  const uint32_t docs = r.Count(/*min_bytes_each=*/9);
-  if (r.failed()) return Truncated("SearchResponse");
-  response.results.reserve(docs);
-  for (uint32_t i = 0; i < docs; ++i) {
-    ir::ClusterScoredDoc d;
-    d.url = r.String();
-    d.score = r.F64();
-    if (r.failed()) return Truncated("SearchResponse");
-    response.results.push_back(std::move(d));
-  }
-  if (r.failed()) return Truncated("SearchResponse");
-  if (r.remaining() != 0) {
-    const uint8_t ext_version = r.U8();
-    if (r.failed() || ext_version == 0) return Truncated("SearchResponse");
-    if (ext_version > 1) {
-      return Status::FeatureUnsupported(StrFormat(
-          "SearchResponse extension version %u from a newer peer (this "
-          "build speaks up to 1)",
-          ext_version));
-    }
-    response.plan = r.String();
-    if (r.failed() || response.plan.empty() || r.remaining() != 0) {
-      return Truncated("SearchResponse");
-    }
-  }
-  return response;
+  return Decode<SearchResponse>(body, len);
 }
 
 Result<ServeStatsRequest> DecodeServeStatsRequest(const uint8_t* body,
                                                   size_t len) {
-  BodyReader r(body, len);
-  if (r.failed() || r.remaining() != 0) return Truncated("ServeStatsRequest");
-  return ServeStatsRequest{};
+  return Decode<ServeStatsRequest>(body, len);
 }
 
-Result<ServeStatsResponse> DecodeServeStatsResponse(const uint8_t* body,
-                                                    size_t len) {
-  BodyReader r(body, len);
-  ServeStatsResponse response;
-  response.submitted = r.Varint64();
-  response.admitted = r.Varint64();
-  response.completed = r.Varint64();
-  response.cache_hits = r.Varint64();
-  response.cache_misses = r.Varint64();
-  response.cache_evictions = r.Varint64();
-  response.shed_queue_full = r.Varint64();
-  response.shed_deadline = r.Varint64();
-  response.expired_in_queue = r.Varint64();
-  response.degraded = r.Varint64();
-  response.batches = r.Varint64();
-  response.batched_queries = r.Varint64();
-  response.queue_depth = r.Varint64();
-  response.epoch = r.Varint64();
-  response.bytes_resident = r.Varint64();
-  response.bytes_mapped = r.Varint64();
-  response.latency_count = r.Varint64();
-  response.latency_mean_us = r.F64();
-  response.latency_p50_us = r.Varint64();
-  response.latency_p95_us = r.Varint64();
-  response.latency_p99_us = r.Varint64();
-  response.latency_max_us = r.Varint64();
-  response.hedges_fired = r.Varint64();
-  response.hedge_wins = r.Varint64();
-  response.failovers = r.Varint64();
-  response.epoch_changes = r.Varint64();
-  response.cache_warmed = r.Varint64();
-  response.stale_served = r.Varint64();
-  if (r.failed()) return Truncated("ServeStatsResponse");
-  if (r.remaining() != 0) {
-    // Versioned trailing federated-mediation block — absent in frames
-    // from pre-federation servers (and from upgraded servers that have
-    // served no federated traffic yet), which simply report zeros.
-    // Version 1 is this build's; anything newer is a well-formed frame
-    // from a future peer — kFeatureUnsupported, not corruption.
-    const uint8_t ext_version = r.U8();
-    if (r.failed() || ext_version == 0) return Truncated("ServeStatsResponse");
-    if (ext_version > 1) {
-      return Status::FeatureUnsupported(StrFormat(
-          "ServeStatsResponse extension version %u from a newer peer (this "
-          "build speaks up to 1)",
-          ext_version));
-    }
-    response.federated_queries = r.Varint64();
-    response.federated_filter_docs = r.Varint64();
-    response.federated_text_us = r.Varint64();
-    response.federated_webspace_us = r.Varint64();
-    response.federated_cobra_us = r.Varint64();
-    response.last_federated_plan = r.String();
-    if (r.failed() || r.remaining() != 0) {
-      return Truncated("ServeStatsResponse");
-    }
-  }
-  return response;
+Result<serve::ServeStats> DecodeServeStatsResponse(const uint8_t* body,
+                                                   size_t len) {
+  return Decode<serve::ServeStats>(body, len);
 }
 
 Result<InsertRequest> DecodeInsertRequest(const uint8_t* body, size_t len) {
-  BodyReader r(body, len);
-  InsertRequest request;
-  request.node_id = r.Varint32();
-  request.url = r.String();
-  request.text = r.String();
-  if (r.failed() || r.remaining() != 0) return Truncated("InsertRequest");
-  return request;
+  return Decode<InsertRequest>(body, len);
 }
 
 Result<InsertResponse> DecodeInsertResponse(const uint8_t* body, size_t len) {
-  BodyReader r(body, len);
-  InsertResponse response;
-  response.node_id = r.Varint32();
-  response.doc_id = r.Varint64();
-  response.epoch = r.Varint64();
-  if (!ReadStatsDelta(&r, &response.delta) || r.remaining() != 0) {
-    return Truncated("InsertResponse");
-  }
-  return response;
+  return Decode<InsertResponse>(body, len);
 }
 
 Result<DeleteRequest> DecodeDeleteRequest(const uint8_t* body, size_t len) {
-  BodyReader r(body, len);
-  DeleteRequest request;
-  request.node_id = r.Varint32();
-  request.url = r.String();
-  if (r.failed() || r.remaining() != 0) return Truncated("DeleteRequest");
-  return request;
+  return Decode<DeleteRequest>(body, len);
 }
 
 Result<DeleteResponse> DecodeDeleteResponse(const uint8_t* body, size_t len) {
-  BodyReader r(body, len);
-  DeleteResponse response;
-  response.node_id = r.Varint32();
-  const uint8_t found = r.U8();
-  response.epoch = r.Varint64();
-  // A delete that found nothing changed no statistics.
-  if (!ReadStatsDelta(&r, &response.delta) || found > 1 ||
-      r.remaining() != 0 ||
-      (found == 0 && response.delta != ingest::StatsDelta{})) {
-    return Truncated("DeleteResponse");
-  }
-  response.found = found != 0;
-  return response;
+  return Decode<DeleteResponse>(body, len);
 }
 
 Result<MergeRequest> DecodeMergeRequest(const uint8_t* body, size_t len) {
-  BodyReader r(body, len);
-  MergeRequest request;
-  request.node_id = r.Varint32();
-  if (r.failed() || r.remaining() != 0) return Truncated("MergeRequest");
-  return request;
+  return Decode<MergeRequest>(body, len);
 }
 
 Result<MergeResponse> DecodeMergeResponse(const uint8_t* body, size_t len) {
-  BodyReader r(body, len);
-  MergeResponse response;
-  response.node_id = r.Varint32();
-  response.epoch = r.Varint64();
-  response.merges = r.Varint64();
-  if (r.failed() || r.remaining() != 0) return Truncated("MergeResponse");
-  return response;
+  return Decode<MergeResponse>(body, len);
 }
 
 Status DecodeError(const uint8_t* body, size_t len) {
-  BodyReader r(body, len);
-  const uint32_t wire_code = r.Varint32();
-  std::string message = r.String();
-  if (r.failed() || r.remaining() != 0) return Truncated("Error frame");
-  // A wire value this build doesn't know — a newer peer's code, or a
-  // nonsensical "ok" error — degrades to kInternal rather than lying.
-  StatusCode code;
-  if (!StatusCodeFromWire(wire_code, &code)) {
-    return Status::Internal("peer error: " + message);
-  }
-  return Status(code, std::move(message));
+  Status carried;  // never ok: the walk reads wire code 0 as kInternal
+  DLS_RETURN_IF_ERROR(DecodeInto(body, len, &carried));
+  return carried;
 }
 
 }  // namespace dls::net

@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "ingest/live_index.h"
 #include "ir/cluster.h"
+#include "serve/serve_stats.h"
 
 namespace dls::net {
 
@@ -58,9 +59,13 @@ namespace dls::net {
 ///                     cache-hit/degraded flags, predicted quality and
 ///                     the ranked RES(url, score) tuples.
 ///   8 ServeStatsRequest   asks a FrontendServer for its ServeStats.
-///   9 ServeStatsResponse  the serve-side stats block: queue depth,
-///                     admission/shed/cache counters and the
-///                     p50/p95/p99 latency quantiles.
+///   9 ServeStatsResponse  serve::ServeStats whole: admission, cache,
+///                     shed, batching, routing and warm-path counters,
+///                     queue depth, epoch, index footprint and the
+///                     latency snapshot (without its sum), then the
+///                     federated block as a versioned trailing
+///                     extension, written only once the frontend has
+///                     served federated traffic.
 ///   10 InsertRequest  live ingestion (src/ingest): adds a document
 ///                     (url, text) to the LiveIndex behind a *live*
 ///                     node. Frozen nodes answer kUnsupported.
@@ -87,6 +92,11 @@ namespace dls::net {
 /// so scores survive the wire bit-exactly — the remote/in-process
 /// bit-identity contract depends on it. Strings are varint length +
 /// raw bytes.
+///
+/// Each body's field order is written once, as one Layout<M>::Walk in
+/// wire.cc: the encoder writes each field the walk visits, and the
+/// decoder reads each one back and applies the walk's checks. A field
+/// added to a frame is one line there.
 ///
 /// Decoding never trusts the peer: every read is bounds-checked,
 /// varints reject overlong encodings, counts are validated against the
@@ -249,65 +259,6 @@ struct MergeResponse {
 
 struct ServeStatsRequest {};
 
-/// Wire form of serve::ServeStats (the domain struct lives in
-/// src/serve/serve_stats.h; this is its stable wire projection).
-/// Latency quantiles are bucket upper bounds in microseconds from the
-/// frontend's admission-to-completion histogram.
-struct ServeStatsResponse {
-  uint64_t submitted = 0;
-  uint64_t admitted = 0;
-  uint64_t completed = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t shed_queue_full = 0;
-  uint64_t shed_deadline = 0;
-  uint64_t expired_in_queue = 0;
-  uint64_t degraded = 0;
-  uint64_t batches = 0;
-  uint64_t batched_queries = 0;
-  uint64_t queue_depth = 0;
-  uint64_t epoch = 0;
-  uint64_t bytes_resident = 0;
-  uint64_t bytes_mapped = 0;
-  uint64_t latency_count = 0;
-  double latency_mean_us = 0;
-  uint64_t latency_p50_us = 0;
-  uint64_t latency_p95_us = 0;
-  uint64_t latency_p99_us = 0;
-  uint64_t latency_max_us = 0;
-  /// Replica routing (serve::ServeStats, fed by the backend's
-  /// RemoteClusterIndex counters): hedged shard calls, hedges that
-  /// answered first, and failed attempts moved to another replica.
-  uint64_t hedges_fired = 0;
-  uint64_t hedge_wins = 0;
-  uint64_t failovers = 0;
-  /// Live warm path (serve::ServeStats): backend epoch bumps the
-  /// frontend's warmer observed, hot keys it re-evaluated under the
-  /// new epoch, and answers served flagged-stale while it ran.
-  uint64_t epoch_changes = 0;
-  uint64_t cache_warmed = 0;
-  uint64_t stale_served = 0;
-  /// Federated mediation (serve::ServeStats): queries answered through
-  /// the mediator, bitmap bits pushed down into ranking, per-backend
-  /// wall time, and the most recent executed plan. Carried as a
-  /// versioned trailing extension ([u8 ext_version=1][fields]) emitted
-  /// only when some field is non-zero, so an idle upgraded server
-  /// still encodes byte-identically to a pre-federation build; a
-  /// decoder reading an old peer's frame (no bytes left) leaves the
-  /// block zeroed, and ext_version > 1 decodes to kFeatureUnsupported.
-  /// Compatibility is otherwise new-reader/old-writer: once federated
-  /// traffic exists, a pre-extension client rejects the frame as
-  /// truncated — it predates the version scheme and cannot be taught
-  /// a cleaner signal.
-  uint64_t federated_queries = 0;
-  uint64_t federated_filter_docs = 0;
-  uint64_t federated_text_us = 0;
-  uint64_t federated_webspace_us = 0;
-  uint64_t federated_cobra_us = 0;
-  std::string last_federated_plan;
-};
-
 /// Encoders return a complete frame: length prefix, type byte, body.
 /// The unbounded messages are fallible: a frame whose payload would
 /// exceed kMaxFramePayloadBytes is refused with kUnsupported (naming
@@ -326,7 +277,7 @@ Result<std::vector<uint8_t>> EncodeSearchResponse(
     const SearchResponse& response);
 std::vector<uint8_t> EncodeServeStatsRequest(const ServeStatsRequest& request);
 std::vector<uint8_t> EncodeServeStatsResponse(
-    const ServeStatsResponse& response);  ///< bounded: always fits
+    const serve::ServeStats& stats);  ///< bounded: always fits
 /// Mutation frames: the requests carry caller-sized strings and the
 /// insert/delete responses a document's stems, so all four are
 /// fallible like the query frames; the merge frames are flat scalars.
@@ -354,8 +305,8 @@ Result<SearchRequest> DecodeSearchRequest(const uint8_t* body, size_t len);
 Result<SearchResponse> DecodeSearchResponse(const uint8_t* body, size_t len);
 Result<ServeStatsRequest> DecodeServeStatsRequest(const uint8_t* body,
                                                   size_t len);
-Result<ServeStatsResponse> DecodeServeStatsResponse(const uint8_t* body,
-                                                    size_t len);
+Result<serve::ServeStats> DecodeServeStatsResponse(const uint8_t* body,
+                                                   size_t len);
 Result<InsertRequest> DecodeInsertRequest(const uint8_t* body, size_t len);
 Result<InsertResponse> DecodeInsertResponse(const uint8_t* body, size_t len);
 Result<DeleteRequest> DecodeDeleteRequest(const uint8_t* body, size_t len);

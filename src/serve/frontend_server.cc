@@ -51,43 +51,7 @@ Result<std::vector<uint8_t>> FrontendServer::HandleFrame(
       Result<net::ServeStatsRequest> request =
           net::DecodeServeStatsRequest(body, body_len);
       if (!request.ok()) return net::EncodeError(request.status());
-      const ServeStats stats = frontend_->Stats();
-      net::ServeStatsResponse response;
-      response.submitted = stats.submitted;
-      response.admitted = stats.admitted;
-      response.completed = stats.completed;
-      response.cache_hits = stats.cache_hits;
-      response.cache_misses = stats.cache_misses;
-      response.cache_evictions = stats.cache_evictions;
-      response.shed_queue_full = stats.shed_queue_full;
-      response.shed_deadline = stats.shed_deadline;
-      response.expired_in_queue = stats.expired_in_queue;
-      response.degraded = stats.degraded;
-      response.batches = stats.batches;
-      response.batched_queries = stats.batched_queries;
-      response.queue_depth = stats.queue_depth;
-      response.epoch = stats.epoch;
-      response.bytes_resident = stats.bytes_resident;
-      response.bytes_mapped = stats.bytes_mapped;
-      response.latency_count = stats.latency.count;
-      response.latency_mean_us = stats.latency.mean;
-      response.latency_p50_us = stats.latency.p50;
-      response.latency_p95_us = stats.latency.p95;
-      response.latency_p99_us = stats.latency.p99;
-      response.latency_max_us = stats.latency.max;
-      response.hedges_fired = stats.hedges_fired;
-      response.hedge_wins = stats.hedge_wins;
-      response.failovers = stats.failovers;
-      response.epoch_changes = stats.epoch_changes;
-      response.cache_warmed = stats.cache_warmed;
-      response.stale_served = stats.stale_served;
-      response.federated_queries = stats.federated_queries;
-      response.federated_filter_docs = stats.federated_filter_docs;
-      response.federated_text_us = stats.federated_text_us;
-      response.federated_webspace_us = stats.federated_webspace_us;
-      response.federated_cobra_us = stats.federated_cobra_us;
-      response.last_federated_plan = stats.last_federated_plan;
-      return net::EncodeServeStatsResponse(response);
+      return net::EncodeServeStatsResponse(frontend_->Stats());
     }
     case net::MessageType::kQueryRequest:
     case net::MessageType::kStatsRequest:

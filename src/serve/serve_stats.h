@@ -10,9 +10,9 @@ namespace dls::serve {
 
 /// Operational counters of one Frontend, sampled by Frontend::Stats().
 /// Monotone counters since construction plus the instantaneous queue
-/// depth and a latency snapshot; net/wire projects this onto the
-/// ServeStatsResponse frame (type 9) byte-for-byte, so a remote
-/// operator reads the same block an in-process caller does.
+/// depth and a latency snapshot. The ServeStatsResponse frame (net/wire
+/// type 9) carries this struct whole, all but the latency sum, so a
+/// remote operator reads the same block an in-process caller does.
 struct ServeStats {
   // ---- admission ----------------------------------------------------
   uint64_t submitted = 0;  ///< Search() calls, before any gate

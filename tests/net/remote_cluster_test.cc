@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -397,6 +398,91 @@ TEST(RemoteClusterTest, ConnectRejectsReplicasWithMixedNormalization) {
   Status status = remote.Connect();
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+/// A shard that answers every handshake with `advertised` and every
+/// insert with `ack`, whatever it is asked: the harness for a hostile
+/// peer's statistics.
+struct AdvertisingShard {
+  StatsResponse advertised;
+  InsertResponse ack;
+  LoopbackTransport transport{
+      [this](const std::vector<uint8_t>& frame)
+          -> Result<std::vector<uint8_t>> {
+        MessageType type;
+        const uint8_t* body = nullptr;
+        size_t body_len = 0;
+        DLS_RETURN_IF_ERROR(DecodeFrame(frame, &type, &body, &body_len));
+        if (type == MessageType::kInsertRequest) {
+          return EncodeInsertResponse(ack);
+        }
+        return EncodeStatsResponse(advertised);
+      }};
+};
+
+// Statistics the centre's counters cannot hold are kCorruption naming
+// the shard, never a signed overflow, and the previous handshake's
+// statistics stay in place.
+TEST(RemoteClusterTest, ConnectRefusesStatisticsTheCentreCannotHold) {
+  AdvertisingShard a, b;
+  for (AdvertisingShard* shard : {&a, &b}) {
+    shard->advertised.document_count = 2;
+    shard->advertised.collection_length = 10;
+    shard->advertised.term_dfs = {{"t", 1}};
+  }
+  RemoteClusterIndex remote({{&a.transport, 0}, {&b.transport, 0}});
+  ASSERT_TRUE(remote.Connect().ok());
+
+  const auto expect_refused = [&](const char* shard) {
+    const Status status = remote.Connect();
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_NE(status.message().find(shard), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(remote.document_count(), 4u);
+    EXPECT_EQ(remote.global_collection_length(), 20);
+    EXPECT_EQ(remote.global_df("t"), 2);
+  };
+  // Two dfs of INT32_MAX for one stem.
+  a.advertised.term_dfs = {{"t", std::numeric_limits<int32_t>::max()}};
+  b.advertised.term_dfs = a.advertised.term_dfs;
+  expect_refused("shard 1");
+  a.advertised.term_dfs = b.advertised.term_dfs = {{"t", 1}};
+  // Two collection lengths of INT64_MAX.
+  a.advertised.collection_length = std::numeric_limits<int64_t>::max();
+  b.advertised.collection_length = a.advertised.collection_length;
+  expect_refused("shard 1");
+  // A negative collection length.
+  a.advertised.collection_length = -1;
+  b.advertised.collection_length = 10;
+  expect_refused("shard 0");
+}
+
+TEST(RemoteClusterTest, InsertAckTheCentreCannotHoldIsCorruption) {
+  AdvertisingShard shard;
+  shard.advertised.document_count = 1;
+  shard.advertised.collection_length = 10;
+  shard.advertised.mutation_epoch = 4;
+  shard.advertised.term_dfs = {{"t", std::numeric_limits<int32_t>::max()}};
+  RemoteClusterIndex remote({{&shard.transport, 0}});
+  ASSERT_TRUE(remote.Connect().ok());
+
+  const auto expect_refused = [&](const char* what) {
+    const Result<uint64_t> id = remote.Insert("doc", "text");
+    EXPECT_EQ(id.status().code(), StatusCode::kCorruption) << what;
+    EXPECT_NE(id.status().message().find("shard 0"), std::string::npos)
+        << id.status().ToString();
+    EXPECT_EQ(remote.document_count(), 1u) << what;
+    EXPECT_EQ(remote.global_collection_length(), 10) << what;
+    EXPECT_EQ(remote.global_df("t"), std::numeric_limits<int32_t>::max())
+        << what;
+    EXPECT_EQ(remote.global_df("u"), 0) << what;
+    EXPECT_EQ(remote.cluster_epoch(), 4u) << what;
+  };
+  shard.ack.epoch = 5;
+  shard.ack.delta = {std::numeric_limits<int64_t>::max(), {"u"}};
+  expect_refused("a length of INT64_MAX");
+  shard.ack.delta = {2, {"t", "u"}};
+  expect_refused("a df past INT32_MAX");
 }
 
 }  // namespace

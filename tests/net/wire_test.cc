@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <string>
 
 #include "common/rng.h"
 
@@ -187,15 +189,109 @@ std::string Hex(const std::vector<uint8_t>& bytes) {
   return hex;
 }
 
-// Pins where the five work counters sit in both frames that carry
-// them; the literals were encoded before the counters became one
-// ir::RankStats. A round trip cannot pin this: a writer and reader
-// reordered together still agree. Each counter has a distinct value of
-// a distinct varint length (1 to 5 bytes), so any reordering changes
-// the bytes.
-TEST(WireTest, WorkCountersEncodeAsBefore) {
-  QueryResponse query;
-  query.node_id = 2;
+std::vector<uint8_t> FromHex(const std::string& hex) {
+  std::vector<uint8_t> bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<uint8_t>(std::stoul(hex.substr(i, 2),
+                                                    nullptr, 16)));
+  }
+  return bytes;
+}
+
+// Decodes one body and encodes what it read again, as a peer that
+// relays the message would: the decoder's verdict and, when it
+// accepts, the bytes it understood.
+using Reencoder =
+    std::function<Result<std::vector<uint8_t>>(const uint8_t*, size_t)>;
+
+template <typename M, typename Encoded>
+Reencoder Via(Result<M> (*decode)(const uint8_t*, size_t),
+              Encoded (*encode)(const M&)) {
+  return [decode, encode](const uint8_t* body,
+                          size_t len) -> Result<std::vector<uint8_t>> {
+    Result<M> decoded = decode(body, len);
+    if (!decoded.ok()) return decoded.status();
+    return encode(decoded.value());
+  };
+}
+
+// One sample of each frame (and of each variant a frame's encoder
+// branches on), its bytes as encoded before the layouts were written
+// once, and how to read it back.
+struct GoldenFrame {
+  std::string name;
+  std::vector<uint8_t> frame;  // encoded by this build
+  std::string hex;             // captured from the earlier encoders
+  Reencoder reencode;
+  // Body length of the same message without its trailing extension:
+  // the one strict prefix that decodes (an older peer's frame). npos
+  // when the frame carries no extension.
+  size_t old_peer_body = std::string::npos;
+};
+
+size_t BodyLength(const std::vector<uint8_t>& frame) {
+  return frame.size() - kFrameHeaderBytes - 1;
+}
+
+serve::ServeStats GoldenServeStats() {
+  serve::ServeStats s;
+  s.submitted = 1;
+  s.admitted = 2;
+  s.completed = 3;
+  s.cache_hits = 4;
+  s.cache_misses = 5;
+  s.cache_evictions = 6;
+  s.shed_queue_full = 7;
+  s.shed_deadline = 8;
+  s.expired_in_queue = 9;
+  s.degraded = 10;
+  s.batches = 11;
+  s.batched_queries = 300;
+  s.queue_depth = 13;
+  s.epoch = uint64_t{1} << 40;
+  s.bytes_resident = 70000;
+  s.bytes_mapped = uint64_t{1} << 35;
+  s.latency.count = 14;
+  s.latency.mean = 0.75;
+  s.latency.p50 = 15;
+  s.latency.p95 = 16;
+  s.latency.p99 = 17;
+  s.latency.max = 1u << 22;
+  s.hedges_fired = 18;
+  s.hedge_wins = 19;
+  s.failovers = 20;
+  s.epoch_changes = 21;
+  s.cache_warmed = 22;
+  s.stale_served = 23;
+  return s;
+}
+
+std::vector<GoldenFrame> GoldenFrames() {
+  std::vector<GoldenFrame> golden;
+
+  QueryRequest query_request;
+  query_request.node_id = 3;
+  ir::ShardQuery q;
+  q.n = 10;
+  q.max_fragments = 2;
+  q.threshold = 0.25;
+  q.options.lambda = 0.5;
+  q.options.kernel = ir::ScoreKernel::kBlock;
+  q.options.prune = true;
+  q.options.strategy = ir::RankStrategy::kWand;
+  q.collection_length = int64_t{1} << 33;
+  q.stems = {"alpha", "beta"};
+  q.stem_global_df = {7, 300};
+  query_request.queries.push_back(q);
+  golden.push_back({"QueryRequest", EncodeQueryRequest(query_request).value(),
+                    "2c0000000103010a02000000000000d03f000000000000e03f010102"
+                    "80808080200205616c706861070462657461ac02",
+                    Via(&DecodeQueryRequest, &EncodeQueryRequest)});
+
+  // Five work counters of distinct values and varint lengths (1 to 5
+  // bytes), so any reordering of them changes the bytes.
+  QueryResponse query_response;
+  query_response.node_id = 2;
   ir::ShardResult r;
   r.top.push_back({"u", 0.5});
   r.work.postings_touched = 1;
@@ -205,11 +301,16 @@ TEST(WireTest, WorkCountersEncodeAsBefore) {
   r.work.cursor_advances = 1u << 29;
   r.elapsed_us = 2.0;
   r.stem_evaluated = {true, false, true};
-  query.results.push_back(std::move(r));
-  EXPECT_EQ(Hex(EncodeQueryResponse(query).value()),
-            "27000000020201010175000000000000e03f"
-            "01ac02f0a204808080028080808002"
-            "00000000000000400305");
+  query_response.results.push_back(std::move(r));
+  golden.push_back({"QueryResponse",
+                    EncodeQueryResponse(query_response).value(),
+                    "27000000020201010175000000000000e03f01ac02f0a20480808002"
+                    "808080800200000000000000400305",
+                    Via(&DecodeQueryResponse, &EncodeQueryResponse)});
+
+  golden.push_back({"StatsRequest", EncodeStatsRequest(StatsRequest{9}),
+                    "020000000309",
+                    Via(&DecodeStatsRequest, &EncodeStatsRequest)});
 
   StatsResponse stats;
   stats.node_id = 5;
@@ -222,10 +323,152 @@ TEST(WireTest, WorkCountersEncodeAsBefore) {
   stats.work.pivot_iterations = 300;
   stats.work.cursor_advances = 1;
   stats.term_dfs = {{"a", 2}};
-  EXPECT_EQ(Hex(EncodeStatsResponse(stats).value()),
-            "190000000405030903048080808002"
-            "80808002f0a204ac0201"
-            "01016102");
+  golden.push_back({"StatsResponse", EncodeStatsResponse(stats).value(),
+                    "19000000040503090304808080800280808002f0a204ac0201010161"
+                    "02",
+                    Via(&DecodeStatsResponse, &EncodeStatsResponse)});
+
+  // An Error body decodes to the status it carries. This one carries
+  // kNotFound, so kCorruption is the decoder's own verdict.
+  golden.push_back(
+      {"Error", EncodeError(Status::NotFound("no node 9")),
+       "0c0000000502096e6f206e6f64652039",
+       [](const uint8_t* body, size_t len) -> Result<std::vector<uint8_t>> {
+         const Status carried = DecodeError(body, len);
+         if (carried.code() == StatusCode::kCorruption) return carried;
+         return EncodeError(carried);
+       }});
+
+  SearchRequest search;
+  search.words = {"digital", "library"};
+  search.n = 10;
+  search.max_fragments = 4;
+  search.deadline_ms = 250;
+  search.options.lambda = 0.7;
+  search.options.kernel = ir::ScoreKernel::kPacked;
+  search.options.prune = true;
+  search.options.strategy = ir::RankStrategy::kTaat;
+  const std::vector<uint8_t> plain_search = EncodeSearchRequest(search).value();
+  golden.push_back({"SearchRequest", plain_search,
+                    "210000000602076469676974616c076c6962726172790a04fa016666"
+                    "66666666e63f020101",
+                    Via(&DecodeSearchRequest, &EncodeSearchRequest)});
+  search.structured = "text(\"net\") AND cobra(event=rally)";
+  golden.push_back({"SearchRequest structured",
+                    EncodeSearchRequest(search).value(),
+                    "450000000602076469676974616c076c6962726172790a04fa016666"
+                    "66666666e63f02010101227465787428226e6574222920414e442063"
+                    "6f627261286576656e743d72616c6c7929",
+                    Via(&DecodeSearchRequest, &EncodeSearchRequest),
+                    BodyLength(plain_search)});
+
+  SearchResponse answered;
+  answered.cache_hit = true;
+  answered.predicted_quality = 0.75;
+  answered.results = {{"u1", 1.5}, {"u2", 0.25}};
+  const std::vector<uint8_t> plain_answer =
+      EncodeSearchResponse(answered).value();
+  golden.push_back({"SearchResponse answered", plain_answer,
+                    "240000000700000001000000000000e83f02027531000000000000f8"
+                    "3f027532000000000000d03f",
+                    Via(&DecodeSearchResponse, &EncodeSearchResponse)});
+  SearchResponse shed;
+  shed.status = Status::Unavailable("queue full");
+  shed.retry_after_ms = 250;
+  shed.degraded = true;
+  golden.push_back({"SearchResponse shed", EncodeSearchResponse(shed).value(),
+                    "1900000007090a71756575652066756c6cfa0102000000000000f03f"
+                    "00",
+                    Via(&DecodeSearchResponse, &EncodeSearchResponse)});
+  answered.plan = "cobra(event=rally) -> rank text(\"net\")";
+  golden.push_back({"SearchResponse with plan",
+                    EncodeSearchResponse(answered).value(),
+                    "4c0000000700000001000000000000e83f02027531000000000000f8"
+                    "3f027532000000000000d03f0126636f627261286576656e743d7261"
+                    "6c6c7929202d3e2072616e6b207465787428226e65742229",
+                    Via(&DecodeSearchResponse, &EncodeSearchResponse),
+                    BodyLength(plain_answer)});
+
+  golden.push_back(
+      {"ServeStatsRequest", EncodeServeStatsRequest(ServeStatsRequest{}),
+       "0100000008",
+       Via(&DecodeServeStatsRequest, &EncodeServeStatsRequest)});
+  const std::vector<uint8_t> plain_stats =
+      EncodeServeStatsResponse(GoldenServeStats());
+  golden.push_back({"ServeStats", plain_stats,
+                    "34000000090102030405060708090a0bac020d808080808020f0a204"
+                    "8080808080010e000000000000e83f0f101180808002121314151617",
+                    Via(&DecodeServeStatsResponse, &EncodeServeStatsResponse)});
+  serve::ServeStats federated = GoldenServeStats();
+  federated.federated_queries = 3;
+  federated.federated_filter_docs = 4;
+  federated.federated_text_us = 500;
+  federated.federated_webspace_us = 6;
+  federated.federated_cobra_us = 7;
+  federated.last_federated_plan = "cobra(event=rally)[1 ids, 9us]";
+  golden.push_back({"ServeStats federated", EncodeServeStatsResponse(federated),
+                    "5a000000090102030405060708090a0bac020d808080808020f0a204"
+                    "8080808080010e000000000000e83f0f101180808002121314151617"
+                    "010304f40306071e636f627261286576656e743d72616c6c79295b31"
+                    "206964732c203975735d",
+                    Via(&DecodeServeStatsResponse, &EncodeServeStatsResponse),
+                    BodyLength(plain_stats)});
+
+  golden.push_back({"InsertRequest",
+                    EncodeInsertRequest({1, "u/1", "net play"}).value(),
+                    "0f0000000a0103752f31086e657420706c6179",
+                    Via(&DecodeInsertRequest, &EncodeInsertRequest)});
+  InsertResponse inserted;
+  inserted.node_id = 1;
+  inserted.doc_id = 300;
+  inserted.epoch = 7;
+  inserted.delta = {9, {"net", "play"}};
+  golden.push_back({"InsertResponse", EncodeInsertResponse(inserted).value(),
+                    "100000000b01ac02070902036e657404706c6179",
+                    Via(&DecodeInsertResponse, &EncodeInsertResponse)});
+  golden.push_back({"DeleteRequest", EncodeDeleteRequest({1, "u/1"}).value(),
+                    "060000000c0103752f31",
+                    Via(&DecodeDeleteRequest, &EncodeDeleteRequest)});
+  DeleteResponse deleted;
+  deleted.node_id = 1;
+  deleted.found = true;
+  deleted.epoch = 8;
+  deleted.delta = {9, {"net", "play"}};
+  golden.push_back({"DeleteResponse found",
+                    EncodeDeleteResponse(deleted).value(),
+                    "0f0000000d0101080902036e657404706c6179",
+                    Via(&DecodeDeleteResponse, &EncodeDeleteResponse)});
+  deleted.found = false;
+  deleted.delta = {};
+  golden.push_back({"DeleteResponse not found",
+                    EncodeDeleteResponse(deleted).value(),
+                    "060000000d0100080000",
+                    Via(&DecodeDeleteResponse, &EncodeDeleteResponse)});
+  golden.push_back({"MergeRequest", EncodeMergeRequest({2}),
+                    "020000000e02",
+                    Via(&DecodeMergeRequest, &EncodeMergeRequest)});
+  golden.push_back({"MergeResponse", EncodeMergeResponse({2, 9, 3}),
+                    "040000000f020903",
+                    Via(&DecodeMergeResponse, &EncodeMergeResponse)});
+  return golden;
+}
+
+// Pins every frame's bytes to the encoders' before the layouts were
+// written once; a round trip cannot, since a writer and reader changed
+// together still agree. Each literal must also decode and encode back
+// to itself.
+TEST(WireTest, GoldenFramesEncodeAsBefore) {
+  for (const GoldenFrame& g : GoldenFrames()) {
+    EXPECT_EQ(Hex(g.frame), g.hex) << g.name;
+    const std::vector<uint8_t> literal = FromHex(g.hex);
+    MessageType type;
+    const uint8_t* body = nullptr;
+    size_t body_len = 0;
+    ASSERT_TRUE(DecodeFrame(literal, &type, &body, &body_len).ok()) << g.name;
+    Result<std::vector<uint8_t>> again = g.reencode(body, body_len);
+    ASSERT_TRUE(again.ok()) << g.name << ": " << again.status().ToString();
+    EXPECT_EQ(Hex(again.value()), g.hex) << g.name;
+  }
 }
 
 TEST(WireTest, StatsResponseCarriesMutationEpoch) {
@@ -387,7 +630,7 @@ TEST(WireTest, ServeStatsRoundTrip) {
   ASSERT_EQ(type, MessageType::kServeStatsRequest);
   EXPECT_TRUE(DecodeServeStatsRequest(body, body_len).ok());
 
-  ServeStatsResponse response;
+  serve::ServeStats response;
   response.submitted = kVarint64Boundaries[7];
   response.admitted = 2;
   response.completed = 3;
@@ -404,19 +647,19 @@ TEST(WireTest, ServeStatsRoundTrip) {
   response.epoch = kVarint64Boundaries[8];
   response.bytes_resident = kVarint64Boundaries[5];
   response.bytes_mapped = kVarint64Boundaries[4];
-  response.latency_count = 14;
-  response.latency_mean_us = kTrickyDoubles[3];
-  response.latency_p50_us = 15;
-  response.latency_p95_us = 16;
-  response.latency_p99_us = 17;
-  response.latency_max_us = kVarint64Boundaries[6];
+  response.latency.count = 14;
+  response.latency.mean = kTrickyDoubles[3];
+  response.latency.p50 = 15;
+  response.latency.p95 = 16;
+  response.latency.p99 = 17;
+  response.latency.max = kVarint64Boundaries[6];
   response.hedges_fired = 18;
   response.hedge_wins = 19;
   response.failovers = kVarint64Boundaries[3];
   frame = EncodeServeStatsResponse(response);
   ASSERT_TRUE(DecodeFrame(frame, &type, &body, &body_len).ok());
   ASSERT_EQ(type, MessageType::kServeStatsResponse);
-  Result<ServeStatsResponse> decoded =
+  Result<serve::ServeStats> decoded =
       DecodeServeStatsResponse(body, body_len);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().submitted, response.submitted);
@@ -435,13 +678,13 @@ TEST(WireTest, ServeStatsRoundTrip) {
   EXPECT_EQ(decoded.value().epoch, response.epoch);
   EXPECT_EQ(decoded.value().bytes_resident, response.bytes_resident);
   EXPECT_EQ(decoded.value().bytes_mapped, response.bytes_mapped);
-  EXPECT_EQ(decoded.value().latency_count, response.latency_count);
-  EXPECT_EQ(Bits(decoded.value().latency_mean_us),
-            Bits(response.latency_mean_us));
-  EXPECT_EQ(decoded.value().latency_p50_us, response.latency_p50_us);
-  EXPECT_EQ(decoded.value().latency_p95_us, response.latency_p95_us);
-  EXPECT_EQ(decoded.value().latency_p99_us, response.latency_p99_us);
-  EXPECT_EQ(decoded.value().latency_max_us, response.latency_max_us);
+  EXPECT_EQ(decoded.value().latency.count, response.latency.count);
+  EXPECT_EQ(Bits(decoded.value().latency.mean),
+            Bits(response.latency.mean));
+  EXPECT_EQ(decoded.value().latency.p50, response.latency.p50);
+  EXPECT_EQ(decoded.value().latency.p95, response.latency.p95);
+  EXPECT_EQ(decoded.value().latency.p99, response.latency.p99);
+  EXPECT_EQ(decoded.value().latency.max, response.latency.max);
   EXPECT_EQ(decoded.value().hedges_fired, response.hedges_fired);
   EXPECT_EQ(decoded.value().hedge_wins, response.hedge_wins);
   EXPECT_EQ(decoded.value().failovers, response.failovers);
@@ -522,30 +765,29 @@ TEST(WireTest, OversizePayloadRefusedAtEncodeTime) {
 
 // Every strict prefix of a valid frame must decode to a clean error:
 // the length prefix no longer matches, and a truncated body trips the
-// bounds checks — never UB (ASan/UBSan runs this in CI).
+// bounds checks — never UB (ASan/UBSan runs this in CI). The one
+// exception is an extended frame cut just before its extension, which
+// is what an older peer sends.
 TEST(WireTest, TruncationAtEveryLengthFailsCleanly) {
-  QueryRequest request;
-  request.node_id = 1;
-  request.queries.push_back(MakeQuery(2));
-  const std::vector<uint8_t> frame = EncodeQueryRequest(request).value();
+  for (const GoldenFrame& g : GoldenFrames()) {
+    for (size_t len = 0; len < g.frame.size(); ++len) {
+      std::vector<uint8_t> cut(g.frame.begin(), g.frame.begin() + len);
+      MessageType type;
+      const uint8_t* body = nullptr;
+      size_t body_len = 0;
+      EXPECT_FALSE(DecodeFrame(cut, &type, &body, &body_len).ok())
+          << g.name << ": prefix of " << len << " bytes decoded as a frame";
+    }
 
-  for (size_t len = 0; len < frame.size(); ++len) {
-    std::vector<uint8_t> cut(frame.begin(), frame.begin() + len);
+    // Body-level truncation, past the (valid) frame header.
     MessageType type;
     const uint8_t* body = nullptr;
     size_t body_len = 0;
-    EXPECT_FALSE(DecodeFrame(cut, &type, &body, &body_len).ok())
-        << "prefix of " << len << " bytes decoded as a frame";
-  }
-
-  // Body-level truncation, past the (valid) frame header.
-  MessageType type;
-  const uint8_t* body = nullptr;
-  size_t body_len = 0;
-  ASSERT_TRUE(DecodeFrame(frame, &type, &body, &body_len).ok());
-  for (size_t len = 0; len < body_len; ++len) {
-    EXPECT_FALSE(DecodeQueryRequest(body, len).ok())
-        << "truncated body of " << len << " bytes decoded";
+    ASSERT_TRUE(DecodeFrame(g.frame, &type, &body, &body_len).ok());
+    for (size_t len = 0; len < body_len; ++len) {
+      EXPECT_EQ(g.reencode(body, len).ok(), len == g.old_peer_body)
+          << g.name << ": truncated body of " << len << " bytes";
+    }
   }
 }
 
@@ -616,6 +858,12 @@ TEST(WireTest, RandomBodiesNeverCrashDecoders) {
     (void)DecodeServeStatsRequest(body.data(), body.size());
     (void)DecodeServeStatsResponse(body.data(), body.size());
     (void)DecodeError(body.data(), body.size());
+    (void)DecodeInsertRequest(body.data(), body.size());
+    (void)DecodeInsertResponse(body.data(), body.size());
+    (void)DecodeDeleteRequest(body.data(), body.size());
+    (void)DecodeDeleteResponse(body.data(), body.size());
+    (void)DecodeMergeRequest(body.data(), body.size());
+    (void)DecodeMergeResponse(body.data(), body.size());
   }
 }
 
@@ -646,7 +894,7 @@ TEST(WireTest, SearchBodiesTruncateCleanly) {
   // with federated traffic present, exactly one strict prefix — the
   // pre-federated boundary an old peer would send — decodes fine (with
   // zeros); every cut inside the extension fails.
-  ServeStatsResponse with_federated;
+  serve::ServeStats with_federated;
   with_federated.federated_queries = 3;
   with_federated.last_federated_plan = "cobra(event=rally)[1 ids, 9us]";
   frame = EncodeServeStatsResponse(with_federated);
@@ -656,7 +904,7 @@ TEST(WireTest, SearchBodiesTruncateCleanly) {
     if (DecodeServeStatsResponse(body, len).ok()) ok_lengths.push_back(len);
   }
   ASSERT_EQ(ok_lengths.size(), 1u);
-  Result<ServeStatsResponse> old_peer =
+  Result<serve::ServeStats> old_peer =
       DecodeServeStatsResponse(body, ok_lengths[0]);
   ASSERT_TRUE(old_peer.ok());
   EXPECT_EQ(old_peer.value().federated_queries, 0u);
@@ -666,7 +914,7 @@ TEST(WireTest, SearchBodiesTruncateCleanly) {
   // No federated traffic => no extension bytes: an idle upgraded
   // server's frame is byte-identical to a pre-federation one, so old
   // clients keep decoding it.
-  frame = EncodeServeStatsResponse(ServeStatsResponse{});
+  frame = EncodeServeStatsResponse(serve::ServeStats{});
   size_t zero_len = 0;
   ASSERT_TRUE(DecodeFrame(frame, &type, &body, &zero_len).ok());
   EXPECT_EQ(zero_len, ok_lengths[0]);
@@ -771,7 +1019,7 @@ TEST(WireTest, SearchResponsePlanExtensionRoundTrips) {
 }
 
 TEST(WireTest, ServeStatsFederatedBlockRoundTrips) {
-  ServeStatsResponse response;
+  serve::ServeStats response;
   response.federated_queries = kVarint64Boundaries[4];
   response.federated_filter_docs = 123;
   response.federated_text_us = kVarint64Boundaries[5];
@@ -784,7 +1032,7 @@ TEST(WireTest, ServeStatsFederatedBlockRoundTrips) {
   const uint8_t* body = nullptr;
   size_t body_len = 0;
   ASSERT_TRUE(DecodeFrame(frame, &type, &body, &body_len).ok());
-  Result<ServeStatsResponse> decoded =
+  Result<serve::ServeStats> decoded =
       DecodeServeStatsResponse(body, body_len);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().federated_queries, response.federated_queries);
@@ -798,7 +1046,7 @@ TEST(WireTest, ServeStatsFederatedBlockRoundTrips) {
 }
 
 TEST(WireTest, ServeStatsFromTheFutureRejectedAsUnsupported) {
-  ServeStatsResponse response;
+  serve::ServeStats response;
   response.federated_queries = 7;
   std::vector<uint8_t> frame = EncodeServeStatsResponse(response);
   MessageType type;
@@ -820,7 +1068,7 @@ TEST(WireTest, ServeStatsFromTheFutureRejectedAsUnsupported) {
   ASSERT_EQ(patched[version_at], 1);
 
   patched[version_at] = 2;  // a frame from a newer peer
-  Result<ServeStatsResponse> decoded =
+  Result<serve::ServeStats> decoded =
       DecodeServeStatsResponse(patched.data(), patched.size());
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kFeatureUnsupported);

@@ -121,7 +121,7 @@ net::SearchResponse Exchange(net::Transport* transport,
   return response.value();
 }
 
-net::ServeStatsResponse FetchStats(net::Transport* transport) {
+ServeStats FetchStats(net::Transport* transport) {
   std::vector<uint8_t> frame =
       net::EncodeServeStatsRequest(net::ServeStatsRequest{});
   Result<std::vector<uint8_t>> reply =
@@ -131,7 +131,7 @@ net::ServeStatsResponse FetchStats(net::Transport* transport) {
   const uint8_t* body = nullptr;
   size_t body_len = 0;
   EXPECT_TRUE(net::DecodeFrame(reply.value(), &type, &body, &body_len).ok());
-  Result<net::ServeStatsResponse> stats =
+  Result<ServeStats> stats =
       net::DecodeServeStatsResponse(body, body_len);
   EXPECT_TRUE(stats.ok());
   return stats.value();
@@ -223,7 +223,7 @@ TEST(FederatedServeTest, ServeStatsSurfaceTheFederatedCountersAndPlan) {
   request.max_fragments = 2;
   ASSERT_TRUE(Exchange(&transport, request).status.ok());
 
-  net::ServeStatsResponse stats = FetchStats(&transport);
+  ServeStats stats = FetchStats(&transport);
   EXPECT_EQ(stats.federated_queries, 1u);
   EXPECT_EQ(stats.federated_filter_docs, 3u);
   // The per-backend timers are truncated to whole microseconds; on a
@@ -259,7 +259,7 @@ TEST(FederatedServeTest, LargeNumbersSurviveCanonicalisationOverTheWire) {
   ASSERT_TRUE(response.status.ok()) << response.status.message();
   EXPECT_TRUE(response.results.empty());  // no rally lasts 5000000s
 
-  net::ServeStatsResponse stats = FetchStats(&transport);
+  ServeStats stats = FetchStats(&transport);
   EXPECT_EQ(stats.submitted, 1u);
   EXPECT_EQ(stats.completed, 1u);
 }
@@ -274,10 +274,10 @@ TEST(FederatedServeTest, RefusalsCountAsCompletions) {
     request.structured = "text(\"unterminated";
     EXPECT_EQ(Exchange(&transport, request).status.code(),
               StatusCode::kParseError);
-    net::ServeStatsResponse stats = FetchStats(&transport);
+    ServeStats stats = FetchStats(&transport);
     EXPECT_EQ(stats.submitted, 1u);
     EXPECT_EQ(stats.completed, 1u);
-    EXPECT_EQ(stats.latency_count, 1u);
+    EXPECT_EQ(stats.latency.count, 1u);
   }
 
   // Same for the no-mediator refusal.
@@ -293,10 +293,10 @@ TEST(FederatedServeTest, RefusalsCountAsCompletions) {
     request.structured = "text(\"alpha\")";
     EXPECT_EQ(Exchange(&transport, request).status.code(),
               StatusCode::kUnsupported);
-    net::ServeStatsResponse stats = FetchStats(&transport);
+    ServeStats stats = FetchStats(&transport);
     EXPECT_EQ(stats.submitted, 1u);
     EXPECT_EQ(stats.completed, 1u);
-    EXPECT_EQ(stats.latency_count, 1u);
+    EXPECT_EQ(stats.latency.count, 1u);
   }
 }
 

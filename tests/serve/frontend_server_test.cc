@@ -131,7 +131,7 @@ TEST(FrontendServerTest, ServeStatsFrameReportsTheFrontendCounters) {
   size_t body_len = 0;
   ASSERT_TRUE(net::DecodeFrame(reply.value(), &type, &body, &body_len).ok());
   ASSERT_EQ(type, net::MessageType::kServeStatsResponse);
-  Result<net::ServeStatsResponse> stats =
+  Result<ServeStats> stats =
       net::DecodeServeStatsResponse(body, body_len);
   ASSERT_TRUE(stats.ok());
 
@@ -139,8 +139,8 @@ TEST(FrontendServerTest, ServeStatsFrameReportsTheFrontendCounters) {
   EXPECT_EQ(stats.value().completed, 2u);
   EXPECT_EQ(stats.value().cache_hits, 1u);
   EXPECT_EQ(stats.value().epoch, fx.cluster.mutation_epoch());
-  EXPECT_EQ(stats.value().latency_count, 2u);
-  EXPECT_GE(stats.value().latency_max_us, stats.value().latency_p50_us);
+  EXPECT_EQ(stats.value().latency.count, 2u);
+  EXPECT_GE(stats.value().latency.max, stats.value().latency.p50);
 }
 
 // Shedding rides the protocol: the exchange succeeds and the
